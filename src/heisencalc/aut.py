@@ -87,8 +87,18 @@ class HeisAutomorphism:
 
     @classmethod
     def from_json(cls, data):
-        S = tuple(tuple(r) for r in data["S"])
-        return cls(len(S) // 2, tuple(data["delta"]), S)
+        """Inverse of to_json; ValueError unless data has that shape."""
+        try:
+            delta, S = data["delta"], data["S"]
+            ok = (S and all(type(x) is int for x in delta)
+                  and all(type(x) is int for row in S for x in row))
+        except (KeyError, TypeError):
+            ok = False
+        if not ok:
+            raise ValueError('automorphism JSON must be {"delta": [int, ...], '
+                             '"S": [[int, ...], ...]}')
+        S = tuple(tuple(r) for r in S)
+        return cls(len(S) // 2, tuple(delta), S)
 
 
 def _symplectic_inverse(S, genus):
@@ -222,9 +232,7 @@ def morita_crossed_hom(genus, tables):
     the action; the delta part is computed with the counting formula:
     delta(c) = sum_i d_i(image of c) - d_i(c).
     """
-    names = []
-    for i in range(1, genus + 1):
-        names.extend([f"a{i}", f"b{i}"])
+    names = heis.generator_names(genus)[1:]
     n = 2 * genus
     S_cols = []
     for name in names:
@@ -254,10 +262,7 @@ def twist_pi1_table(genus, kind, index=1):
     """pi_1 action of the twist along a_index ('a') or b_index ('b')."""
     if kind not in ("a", "b") or not 1 <= index <= genus:
         raise ValueError("bad twist specification")
-    table = {}
-    for i in range(1, genus + 1):
-        table[f"a{i}"] = [(f"a{i}", 1)]
-        table[f"b{i}"] = [(f"b{i}", 1)]
+    table = {name: [(name, 1)] for name in heis.generator_names(genus)[1:]}
     if kind == "a":
         table[f"b{index}"] = [(f"a{index}", -1), (f"b{index}", 1)]
     else:
@@ -299,10 +304,7 @@ def bounding_pair_table(genus=2):
     comm_inv = [("b2", 1), ("a2", 1), ("b2", -1), ("a2", -1)]
     wrap = comm + [("a1", 1), ("b1", 1), ("a1", -1)]
     wrap_inv = [("a1", 1), ("b1", -1), ("a1", -1)] + comm_inv
-    table = {}
-    for i in range(1, genus + 1):
-        table[f"a{i}"] = [(f"a{i}", 1)]
-        table[f"b{i}"] = [(f"b{i}", 1)]
+    table = {name: [(name, 1)] for name in heis.generator_names(genus)[1:]}
     table["a1"] = comm + [("a1", 1)]
     table["a2"] = wrap + [("a2", 1)] + wrap_inv
     table["b2"] = wrap + [("b2", 1)] + wrap_inv

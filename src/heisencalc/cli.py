@@ -1,8 +1,9 @@
 """Command line front end.
 
 Every subcommand wraps one family of library operations.  Output is JSON by
-default; --plain gives the human-readable word-form rendering and --latex
-the display-math rendering of matrices.  Exit codes: 0 success, 1 domain
+default; on the commands that render group elements or sums, --plain gives
+the human-readable word-form rendering and --latex the display-math
+rendering of matrices and sums.  Exit codes: 0 success, 1 domain
 error (bad input values, failed verification), 2 usage error.
 """
 
@@ -21,23 +22,6 @@ def _add_format_flags(sp):
     sp.set_defaults(fmt="json")
 
 
-def _parse_specialize(text):
-    if text in ("moriyama", "abelian"):
-        return text, 0
-    if text.startswith("torsion") and text[7:].isdigit():
-        return "torsion", int(text[7:])
-    raise ValueError(f"unknown specialization {text!r}")
-
-
-def _specialize_poly(p, spec):
-    target, order = spec
-    if target == "moriyama":
-        return ring.specialize_moriyama(p)
-    if target == "abelian":
-        return ring.specialize_abelianize(p)
-    return ring.specialize_torsion(p, order)
-
-
 def _emit_poly(p, fmt):
     if fmt == "json":
         print(json.dumps(p.to_json()))
@@ -47,7 +31,8 @@ def _emit_poly(p, fmt):
         print(str(p))
 
 
-def _emit_specialized(s, fmt):
+def _emit_specialized(p, name, fmt):
+    s = ring.specialize(p, ring.quotient(name))
     if fmt == "json":
         print(json.dumps([[list(k) if isinstance(k, tuple) else k, c]
                           for k, c in s.terms]))
@@ -56,10 +41,8 @@ def _emit_specialized(s, fmt):
 
 
 def _emit_matrix(M, args):
-    spec = getattr(args, "specialize", None)
-    if spec:
-        spec = _parse_specialize(spec)
-        rows = repmatrix.specialize_matrix(M, spec[0], spec[1])
+    if args.specialize:
+        rows = repmatrix.specialize_matrix(M, args.specialize)
         if args.fmt == "json":
             print(json.dumps({"rows": M.rows, "cols": M.cols,
                               "entries": [[str(p) for p in row] for row in rows]}))
@@ -75,18 +58,13 @@ def _emit_matrix(M, args):
         print(str(M))
 
 
-def _builtin_matrix(name, genus):
-    if name == "ta":
-        return repmatrix.matrix_Ta()
-    if name == "tb":
-        return repmatrix.matrix_Tb()
-    if name == "aba":
-        return repmatrix.matrix_TaTbTa()
-    if name == "boundary":
-        return repmatrix.matrix_boundary_twist()
-    if name == "separating":
-        return repmatrix.matrix_separating_twist(genus)
-    raise ValueError(f"unknown matrix {name!r}")
+BUILTIN_MATRICES = {
+    "ta": lambda genus: repmatrix.matrix_Ta(),
+    "tb": lambda genus: repmatrix.matrix_Tb(),
+    "aba": lambda genus: repmatrix.matrix_TaTbTa(),
+    "boundary": lambda genus: repmatrix.matrix_boundary_twist(),
+    "separating": lambda genus: repmatrix.matrix_separating_twist(genus),
+}
 
 
 def cmd_phi(args):
@@ -103,8 +81,7 @@ def cmd_mul(args):
     for text in args.exprs[1:]:
         result = result * ring.parse_poly(args.genus, text)
     if args.specialize:
-        _emit_specialized(_specialize_poly(result, _parse_specialize(args.specialize)),
-                          args.fmt)
+        _emit_specialized(result, args.specialize, args.fmt)
     else:
         _emit_poly(result, args.fmt)
 
@@ -133,10 +110,7 @@ def cmd_aut(args):
 
 def cmd_morita(args):
     if args.d is not None:
-        w = [(name, exp) for name, exp in
-             (lambda t: [(c.split("^")[0], int(c.split("^")[1]) if "^" in c else 1)
-                         for c in t.split()])(args.word)]
-        print(aut.morita_d(args.d, w))
+        print(aut.morita_d(args.d, heis.parse_word(args.word)))
         return 0
     if args.bounding_pair:
         table = aut.bounding_pair_table(args.genus)
@@ -150,12 +124,11 @@ def cmd_morita(args):
 
 
 def cmd_matrix(args):
-    M = _builtin_matrix(args.name, args.genus)
-    _emit_matrix(M, args)
+    _emit_matrix(BUILTIN_MATRICES[args.name](args.genus), args)
 
 
 def cmd_compose(args):
-    mats = [_builtin_matrix(name, args.genus) for name in args.names]
+    mats = [BUILTIN_MATRICES[name](args.genus) for name in args.names]
     result = mats[0]
     for M in mats[1:]:
         result = repmatrix.compose_twisted(result, M)
@@ -163,8 +136,7 @@ def cmd_compose(args):
 
 
 def cmd_specialize(args):
-    p = ring.parse_poly(args.genus, args.expr)
-    _emit_specialized(_specialize_poly(p, _parse_specialize(args.specialize)),
+    _emit_specialized(ring.parse_poly(args.genus, args.expr), args.specialize,
                       args.fmt)
 
 
@@ -172,6 +144,8 @@ def cmd_pairing(args):
     if args.fixture:
         with open(args.fixture) as fh:
             data = json.load(fh)
+        if not isinstance(data, list):
+            raise ValueError("fixture must be a JSON list of records")
         records = [pairing.IntersectionRecord.from_json(args.genus, d)
                    for d in data]
     elif args.builtin:
@@ -209,9 +183,7 @@ def cmd_verify(args):
     checks.extend(heis.verify_presentation(args.genus))
     checks.extend(braid.verify_bellingeri(args.genus, args.strands))
     if args.all:
-        Ma, Mb = repmatrix.matrix_Ta(), repmatrix.matrix_Tb()
-        left = repmatrix.compose_twisted(repmatrix.compose_twisted(Ma, Mb), Ma)
-        right = repmatrix.compose_twisted(repmatrix.compose_twisted(Mb, Ma), Mb)
+        left, right = repmatrix.braid_composites()
         fixture = repmatrix.fixture_matrix("action_aba")
         checks.append(("braid identity", left.entries == right.entries))
         checks.append(("braid identity matches fixture",
@@ -265,19 +237,17 @@ def build_parser():
     sp.add_argument("--index", type=int, default=1)
     sp.add_argument("--d", type=int)
     sp.add_argument("--word", default="")
-    _add_format_flags(sp)
     sp.set_defaults(fn=cmd_morita)
 
     sp = sub.add_parser("matrix", help="built-in twist matrices")
-    sp.add_argument("name", choices=["ta", "tb", "aba", "boundary", "separating"])
+    sp.add_argument("name", choices=list(BUILTIN_MATRICES))
     sp.add_argument("--genus", type=int, default=1)
     sp.add_argument("--specialize")
     _add_format_flags(sp)
     sp.set_defaults(fn=cmd_matrix)
 
     sp = sub.add_parser("compose", help="twisted composite of built-in matrices")
-    sp.add_argument("names", nargs="+",
-                    choices=["ta", "tb", "aba", "boundary", "separating"])
+    sp.add_argument("names", nargs="+", choices=list(BUILTIN_MATRICES))
     sp.add_argument("--genus", type=int, default=1)
     sp.add_argument("--specialize")
     _add_format_flags(sp)
@@ -306,7 +276,6 @@ def build_parser():
     sp.add_argument("--element")
     sp.add_argument("--weil", choices=["a", "b"])
     sp.add_argument("--tol", type=float, default=1e-10)
-    _add_format_flags(sp)
     sp.set_defaults(fn=cmd_schrodinger)
 
     sp = sub.add_parser("verify", help="run the relation and matrix checks")
@@ -314,7 +283,6 @@ def build_parser():
     sp.add_argument("--strands", type=int, default=2)
     sp.add_argument("--all", action="store_true")
     sp.add_argument("--tol", type=float, default=1e-10)
-    _add_format_flags(sp)
     sp.set_defaults(fn=cmd_verify)
 
     return ap

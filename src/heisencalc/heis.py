@@ -13,6 +13,8 @@ kappa = k - sum_i l_i m_i.
 """
 
 from dataclasses import dataclass
+import functools
+import operator
 import re
 
 
@@ -24,6 +26,11 @@ def omega(coords_x, coords_y):
     for i in range(0, len(coords_x), 2):
         total += coords_x[i] * coords_y[i + 1] - coords_x[i + 1] * coords_y[i]
     return total
+
+
+def quadratic(coords):
+    """sum_i l_i m_i: the pair-form k minus the word-form kappa."""
+    return sum(map(operator.mul, coords[::2], coords[1::2]))
 
 
 @dataclass(frozen=True)
@@ -52,16 +59,9 @@ class HeisElement:
     def inverse(self):
         return HeisElement(self.genus, -self.k, tuple(-c for c in self.coords))
 
-    def __invert__(self):
-        return self.inverse()
-
     def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = identity(self.genus)
-        for _ in range(n):
-            result = result * self
-        return result
+        # omega(x, x) = 0, so (k, x)^n = (nk, nx) for every integer n.
+        return HeisElement(self.genus, n * self.k, tuple(n * c for c in self.coords))
 
     def conjugate(self, x):
         """Return self * x * self^-1.
@@ -77,21 +77,17 @@ class HeisElement:
 
     def word_exponents(self):
         """Return (kappa, coords) for the word normal form u^kappa prod a_i^l b_i^m."""
-        kappa = self.k - sum(self.coords[2 * i] * self.coords[2 * i + 1]
-                             for i in range(self.genus))
-        return kappa, self.coords
+        return self.k - quadratic(self.coords), self.coords
 
-    def word_str(self):
+    def word_str(self, latex=False):
+        """Word normal form, e.g. 'u^2 a1^-2 b1^2', or in LaTeX 'u^{2} a^{-2} b^{2}'."""
         kappa, coords = self.word_exponents()
         parts = []
-        if kappa != 0:
-            parts.append("u" if kappa == 1 else f"u^{kappa}")
-        for i in range(self.genus):
-            l, m = coords[2 * i], coords[2 * i + 1]
-            if l != 0:
-                parts.append(f"a{i + 1}" if l == 1 else f"a{i + 1}^{l}")
-            if m != 0:
-                parts.append(f"b{i + 1}" if m == 1 else f"b{i + 1}^{m}")
+        for name, e in zip(generator_names(self.genus, latex), (kappa,) + coords):
+            if e == 1:
+                parts.append(name)
+            elif e:
+                parts.append(f"{name}^{{{e}}}" if latex else f"{name}^{e}")
         return " ".join(parts) if parts else "1"
 
     def pair_str(self):
@@ -129,6 +125,25 @@ def gen_b(genus, i, power=1):
     return HeisElement(genus, 0, tuple(coords))
 
 
+@functools.cache
+def generator_names(genus, latex=False):
+    """Names of u, a_1, b_1, ..., a_g, b_g: 'u', 'a1', 'b1', ... as plain text,
+    'u', 'a_{1}', 'b_{1}', ... in LaTeX ('u', 'a', 'b' at genus 1).
+
+    Built once per genus and style, since the word renderer reads it per element.
+    """
+    if latex:
+        index = [""] if genus == 1 else [f"_{{{i}}}" for i in range(1, genus + 1)]
+    else:
+        index = [str(i) for i in range(1, genus + 1)]
+    return ("u",) + tuple(x + i for i in index for x in "ab")
+
+
+def generators(genus):
+    """The generators as [(name, element)]: u, a1, b1, ..., ag, bg."""
+    return [(name, generator(genus, name)) for name in generator_names(genus)]
+
+
 def generator(genus, name, power=1):
     """Generator by name: 'u', 'a<i>' or 'b<i>'.  'a'/'b' mean index 1."""
     if name == "u":
@@ -152,6 +167,20 @@ def from_word(genus, word):
 _TOKEN = re.compile(r"([uab]\d*)(?:\^(-?\d+))?")
 
 
+def parse_word(text):
+    """Split 'u^2 a1^-2 b1' into [(generator name, exponent)]; names are not checked."""
+    word = []
+    pos = 0
+    for m in _TOKEN.finditer(text):
+        if text[pos:m.start()].strip():
+            raise ValueError(f"bad element syntax near {text[pos:m.start()]!r}")
+        word.append((m.group(1), int(m.group(2)) if m.group(2) else 1))
+        pos = m.end()
+    if text[pos:].strip():
+        raise ValueError(f"bad element syntax near {text[pos:]!r}")
+    return word
+
+
 def parse_element(genus, text):
     """Parse either word form 'u^2 a1^-2 b1^2' or pair form '(k; l1,m1,...)'."""
     text = text.strip()
@@ -163,16 +192,7 @@ def parse_element(genus, text):
         return HeisElement(genus, int(m.group(1)), coords)
     if text == "1" or text == "":
         return identity(genus)
-    word = []
-    pos = 0
-    for m in _TOKEN.finditer(text):
-        if text[pos:m.start()].strip():
-            raise ValueError(f"bad element syntax near {text[pos:m.start()]!r}")
-        word.append((m.group(1), int(m.group(2)) if m.group(2) else 1))
-        pos = m.end()
-    if text[pos:].strip():
-        raise ValueError(f"bad element syntax near {text[pos:]!r}")
-    return from_word(genus, word)
+    return from_word(genus, parse_word(text))
 
 
 def verify_presentation(genus):
@@ -182,12 +202,8 @@ def verify_presentation(genus):
     for i != j.  Returns a list of (relation description, bool).
     """
     report = []
-    gens = [("u", u(genus))]
-    for i in range(1, genus + 1):
-        gens.append((f"a{i}", gen_a(genus, i)))
-        gens.append((f"b{i}", gen_b(genus, i)))
     uu = u(genus)
-    for name, x in gens:
+    for name, x in generators(genus):
         report.append((f"u {name} = {name} u", uu * x == x * uu))
     u2 = u(genus, 2)
     for i in range(1, genus + 1):

@@ -35,8 +35,14 @@ class IntersectionRecord:
 
     @classmethod
     def from_json(cls, genus, data):
-        return cls(data["s1"], data["s2"], data["sl"],
-                   BraidWord.parse(genus, 2, data["loop"]))
+        """Inverse of to_json; ValueError unless data has that shape."""
+        try:
+            s1, s2, sl, loop = data["s1"], data["s2"], data["sl"], data["loop"]
+        except (KeyError, TypeError):
+            raise ValueError('record must be {"s1", "s2", "sl", "loop"}') from None
+        if not isinstance(loop, str):
+            raise ValueError("record loop must be a braid word string")
+        return cls(s1, s2, sl, BraidWord.parse(genus, 2, loop))
 
     def to_json(self):
         return {"s1": self.sgn_p1, "s2": self.sgn_p2, "sl": self.sgn_loop,

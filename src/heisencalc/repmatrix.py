@@ -20,7 +20,7 @@ import importlib.resources
 import json
 import math
 
-from . import aut, heis, ring
+from . import aut, ring
 from .aut import HeisAutomorphism
 from .heis import HeisElement
 from .ring import HeisPolynomial
@@ -184,16 +184,9 @@ def rep_matrix_inverse(M):
 
 
 def specialize_matrix(M, target, order=0):
-    """Entrywise specialization; returns a list of lists."""
-    if target == "moriyama":
-        fn = ring.specialize_moriyama
-    elif target == "abelian":
-        fn = ring.specialize_abelianize
-    elif target == "torsion":
-        fn = lambda p: ring.specialize_torsion(p, order)
-    else:
-        raise ValueError(f"unknown specialization {target!r}")
-    return [[fn(p) for p in row] for row in M.entries]
+    """Entrywise image in ring.quotient(target, order); returns a list of lists."""
+    q = ring.quotient(target, order)
+    return [[ring.specialize(p, q) for p in row] for row in M.entries]
 
 
 def is_specialized_identity(rows):
@@ -304,11 +297,16 @@ def matrix_Tb():
     return RepMatrix(1, fm.entries, aut.twist_aut(1, "b").inverse())
 
 
+def braid_composites():
+    """The two sides Ta Tb Ta and Tb Ta Tb of the braid relation."""
+    Ma, Mb = matrix_Ta(), matrix_Tb()
+    return (compose_twisted(compose_twisted(Ma, Mb), Ma),
+            compose_twisted(compose_twisted(Mb, Ma), Mb))
+
+
 def matrix_TaTbTa():
     """The braid-relation composite, computed both ways and checked equal."""
-    Ma, Mb = matrix_Ta(), matrix_Tb()
-    left = compose_twisted(compose_twisted(Ma, Mb), Ma)
-    right = compose_twisted(compose_twisted(Mb, Ma), Mb)
+    left, right = braid_composites()
     if left != right:
         raise ArithmeticError("braid-relation composites disagree")
     return left
@@ -321,7 +319,6 @@ def matrix_boundary_twist():
     group), which is asserted.
     """
     A = matrix_TaTbTa()
-    g_H = A.source_twist.inverse()
     result = A
     for _ in range(3):
         result = compose_twisted(result, A)
@@ -420,38 +417,8 @@ def rescale(family, q, mu, k, central):
 # LaTeX export.
 # ---------------------------------------------------------------------------
 
-def _latex_word(elem):
-    kappa, coords = elem.word_exponents()
-    parts = []
-    if kappa:
-        parts.append("u" if kappa == 1 else f"u^{{{kappa}}}")
-    genus = elem.genus
-    for i in range(genus):
-        for off, letter in ((0, "a"), (1, "b")):
-            e = coords[2 * i + off]
-            if e:
-                name = letter if genus == 1 else f"{letter}_{{{i + 1}}}"
-                parts.append(name if e == 1 else f"{name}^{{{e}}}")
-    return " ".join(parts) if parts else "1"
-
-
 def poly_latex(p):
-    if not p.terms:
-        return "0"
-    chunks = []
-    for elem, coeff in p.sorted_terms():
-        word = _latex_word(elem)
-        if word == "1":
-            body = str(abs(coeff))
-        elif abs(coeff) == 1:
-            body = word
-        else:
-            body = f"{abs(coeff)} {word}"
-        chunks.append(("-" if coeff < 0 else "+", body))
-    text = (chunks[0][0] if chunks[0][0] == "-" else "") + chunks[0][1]
-    for sign, body in chunks[1:]:
-        text += f" {sign} {body}"
-    return text
+    return ring.format_sum(p.sorted_terms(), latex=True)
 
 
 def matrix_latex(M):

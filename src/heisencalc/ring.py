@@ -8,10 +8,39 @@ Laurent ring, and to the central N-torsion quotient) and the entrywise action
 of Heisenberg automorphisms.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+import operator
+import re
 
 from . import heis
 from .heis import HeisElement
+
+
+def _add_terms(terms, pairs):
+    """Add each (key, coeff) of pairs into the dict terms, dropping zeros."""
+    for key, coeff in pairs:
+        new = terms.get(key, 0) + coeff
+        if new:
+            terms[key] = new
+        else:
+            terms.pop(key, None)
+    return terms
+
+
+def format_sum(pairs, latex=False):
+    """Render (HeisElement, nonzero coeff) pairs, in the given order, as a
+    signed sum such as '-2 u a1 + 3 - b1^-1'; '0' when there are none."""
+    parts = []
+    for elem, coeff in pairs:
+        word = elem.word_str(latex)
+        size = abs(coeff)
+        body = str(size) if word == "1" else word if size == 1 else f"{size} {word}"
+        parts.append(("- " if coeff < 0 else "+ ") + body)
+    if not parts:
+        return "0"
+    text = " ".join(parts)
+    # the leading sign: "+ " is dropped and "- " becomes "-"
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 class HeisPolynomial:
@@ -23,15 +52,10 @@ class HeisPolynomial:
         self.genus = genus
         self.terms = {}
         if terms:
-            for elem, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                if elem.genus != genus:
-                    raise ValueError("genus mismatch")
-                if coeff:
-                    new = self.terms.get(elem, 0) + coeff
-                    if new:
-                        self.terms[elem] = new
-                    else:
-                        del self.terms[elem]
+            pairs = terms.items() if isinstance(terms, dict) else list(terms)
+            if any(elem.genus != genus for elem, _ in pairs):
+                raise ValueError("genus mismatch")
+            _add_terms(self.terms, pairs)
 
     @classmethod
     def zero(cls, genus):
@@ -53,15 +77,8 @@ class HeisPolynomial:
 
     def __add__(self, other):
         self._check(other)
-        terms = dict(self.terms)
-        for elem, coeff in other.terms.items():
-            new = terms.get(elem, 0) + coeff
-            if new:
-                terms[elem] = new
-            else:
-                del terms[elem]
         out = HeisPolynomial(self.genus)
-        out.terms = terms
+        out.terms = _add_terms(dict(self.terms), other.terms.items())
         return out
 
     def __neg__(self):
@@ -116,24 +133,7 @@ class HeisPolynomial:
         return sorted(self.terms.items(), key=lambda item: item[0].sort_key())
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for elem, coeff in self.sorted_terms():
-            word = elem.word_str()
-            if word == "1":
-                body = str(abs(coeff))
-            elif abs(coeff) == 1:
-                body = word
-            else:
-                body = f"{abs(coeff)} {word}"
-            sign = "-" if coeff < 0 else "+"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = (first_sign if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return format_sum(self.sorted_terms())
 
     def __repr__(self):
         return f"HeisPolynomial({self})"
@@ -156,8 +156,6 @@ class HeisPolynomial:
 #   factor  := integer | symbol ['^' int] | '(' expr ')' ['^' int]
 #   symbol  := 'u' | 'a' | 'b' | 'a<i>' | 'b<i>'
 # ---------------------------------------------------------------------------
-
-import re
 
 _EXPR_TOKEN = re.compile(r"\s*(?:(\d+)|([uab]\d*)|(\^-?\d+)|([+\-()]))")
 
@@ -255,103 +253,117 @@ def parse_poly(genus, text):
 # Specializations.
 # ---------------------------------------------------------------------------
 
+def _add_coords(x, y):
+    return tuple(map(operator.add, x, y))
+
+
+@dataclass(frozen=True)
+class Quotient:
+    """A quotient ring of the group ring, named as on the command line.
+
+    'moriyama' is Z[u]/(u^2-1), keyed by the word-form u-exponent mod 2.
+    'abelian' is the commutative Laurent ring (u -> 1), keyed by coords.
+    'torsion<N>' is the group ring of the central quotient by u^N, keyed by
+    (k mod N, coords) with k the pair-form exponent.
+
+    keys maps a {HeisElement: coeff} dict to its (key, coeff) pairs, key_mul
+    multiplies two keys, and lift(genus, key) is a group element with that
+    key, which is what a specialized sum prints.
+    """
+    name: str
+    order: int  # N for torsion, else 0
+    keys: object = field(compare=False, repr=False)
+    key_mul: object = field(compare=False, repr=False)
+    lift: object = field(compare=False, repr=False)
+
+
+MORIYAMA = Quotient(
+    "moriyama", 0,
+    lambda terms: [((e.k - heis.quadratic(e.coords)) % 2, c) for e, c in terms.items()],
+    lambda x, y: (x + y) % 2,
+    lambda genus, key: HeisElement(genus, key, (0,) * (2 * genus)))
+
+ABELIAN = Quotient(
+    "abelian", 0,
+    lambda terms: [(e.coords, c) for e, c in terms.items()],
+    _add_coords,
+    lambda genus, key: HeisElement(genus, heis.quadratic(key), key))
+
+
+def torsion(N):
+    """The quotient by the central subgroup generated by u^N."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+
+    def lift(genus, key):
+        # the lift whose word-form u-exponent lies in [0, N)
+        q = heis.quadratic(key[1])
+        return HeisElement(genus, q + (key[0] - q) % N, key[1])
+
+    return Quotient(
+        f"torsion{N}", N,
+        lambda terms: [((e.k % N, e.coords), c) for e, c in terms.items()],
+        lambda x, y: ((x[0] + y[0] + heis.omega(x[1], y[1])) % N,
+                      _add_coords(x[1], y[1])),
+        lift)
+
+
+def quotient(name, order=0):
+    """The quotient called 'moriyama', 'abelian' or 'torsion<N>'; the name
+    'torsion' takes N from order."""
+    if name == "moriyama":
+        return MORIYAMA
+    if name == "abelian":
+        return ABELIAN
+    if name.startswith("torsion") and (name[7:].isdigit() or name == "torsion" and order):
+        return torsion(int(name[7:] or order))
+    raise ValueError(f"unknown specialization {name!r}")
+
+
 @dataclass(frozen=True)
 class SpecializedPolynomial:
-    """Image of a group-ring element in one of the quotient rings.
+    """Image of a group-ring element in a Quotient.
 
-    target 'moriyama': Z[u]/(u^2-1); terms keyed by u-exponent in {0, 1}.
-    target 'abelian':  commutative Laurent ring; terms keyed by coords.
-    target 'torsionN': group ring of the central quotient by u^N; terms keyed
-    by (k mod N, coords).
+    terms is a sorted tuple of (key, coeff), keys as described on Quotient.
     """
-    target: str
+    quotient: Quotient
     genus: int
-    order: int  # N for torsion, else 0
-    terms: tuple  # sorted tuple of (key, coeff)
+    terms: tuple
 
     @classmethod
-    def _build(cls, target, genus, order, raw):
-        terms = {}
-        for key, coeff in raw:
-            new = terms.get(key, 0) + coeff
-            if new:
-                terms[key] = new
-            elif key in terms:
-                del terms[key]
-        return cls(target, genus, order, tuple(sorted(terms.items())))
+    def _build(cls, q, genus, pairs):
+        return cls(q, genus, tuple(sorted(_add_terms({}, pairs).items())))
 
     def _check(self, other):
-        if (self.target, self.genus, self.order) != (other.target, other.genus, other.order):
+        if (self.quotient, self.genus) != (other.quotient, other.genus):
             raise ValueError("specialization target mismatch")
 
     def __add__(self, other):
         self._check(other)
-        return SpecializedPolynomial._build(
-            self.target, self.genus, self.order,
-            list(self.terms) + list(other.terms))
+        return SpecializedPolynomial._build(self.quotient, self.genus,
+                                            self.terms + other.terms)
 
     def __mul__(self, other):
         self._check(other)
-        raw = []
-        for k1, c1 in self.terms:
-            for k2, c2 in other.terms:
-                raw.append((self._mul_keys(k1, k2), c1 * c2))
-        return SpecializedPolynomial._build(self.target, self.genus, self.order, raw)
-
-    def _mul_keys(self, k1, k2):
-        if self.target == "moriyama":
-            return (k1 + k2) % 2
-        if self.target == "abelian":
-            return tuple(a + b for a, b in zip(k1, k2))
-        # torsion: multiply in the quotient group, reducing k mod N
-        kk = (k1[0] + k2[0] + heis.omega(k1[1], k2[1])) % self.order
-        coords = tuple(a + b for a, b in zip(k1[1], k2[1]))
-        return (kk, coords)
+        mul = self.quotient.key_mul
+        return SpecializedPolynomial._build(
+            self.quotient, self.genus,
+            [(mul(k1, k2), c1 * c2) for k1, c1 in self.terms for k2, c2 in other.terms])
 
     def is_one(self):
-        if self.target == "moriyama":
-            return self.terms == ((0, 1),)
-        if self.target == "abelian":
-            return self.terms == (((0,) * (2 * self.genus), 1),)
-        return self.terms == (((0, (0,) * (2 * self.genus)), 1),)
+        return self.terms == tuple(self.quotient.keys({heis.identity(self.genus): 1}))
 
     def is_zero(self):
         return not self.terms
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for key, coeff in self.terms:
-            if self.target == "moriyama":
-                body = "1" if key == 0 else "u"
-            elif self.target == "abelian":
-                body = _laurent_str(key)
-            else:
-                body = ("1" if key[0] == 0 else f"u^{key[0]}")
-                tail = _laurent_str(key[1])
-                body = tail if key[0] == 0 else (body if tail == "1" else f"{body} {tail}")
-            if body == "1":
-                body = str(abs(coeff))
-            elif abs(coeff) != 1:
-                body = f"{abs(coeff)} {body}"
-            parts.append(("-" if coeff < 0 else "+", body))
-        text = (parts[0][0] if parts[0][0] == "-" else "") + parts[0][1]
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        lift = self.quotient.lift
+        return format_sum((lift(self.genus, key), c) for key, c in self.terms)
 
 
-def _laurent_str(coords):
-    parts = []
-    for i in range(0, len(coords), 2):
-        l, m = coords[i], coords[i + 1]
-        idx = i // 2 + 1
-        if l:
-            parts.append(f"a{idx}" if l == 1 else f"a{idx}^{l}")
-        if m:
-            parts.append(f"b{idx}" if m == 1 else f"b{idx}^{m}")
-    return " ".join(parts) if parts else "1"
+def specialize(p, q):
+    """Image of the group-ring element p in the Quotient q."""
+    return SpecializedPolynomial._build(q, p.genus, q.keys(p.terms))
 
 
 def specialize_moriyama(p):
@@ -360,33 +372,21 @@ def specialize_moriyama(p):
     Each group element goes to u^kappa where kappa is the central exponent of
     its word normal form (the pair-form k corrected by sum l_i m_i).
     """
-    raw = []
-    for elem, coeff in p.terms.items():
-        kappa, _ = elem.word_exponents()
-        raw.append((kappa % 2, coeff))
-    return SpecializedPolynomial._build("moriyama", p.genus, 0, raw)
+    return specialize(p, MORIYAMA)
 
 
 def specialize_abelianize(p):
     """Ring homomorphism u -> 1 onto the commutative Laurent ring."""
-    raw = [(elem.coords, coeff) for elem, coeff in p.terms.items()]
-    return SpecializedPolynomial._build("abelian", p.genus, 0, raw)
+    return specialize(p, ABELIAN)
 
 
 def specialize_torsion(p, N):
     """Quotient by the central subgroup generated by u^N (reduce k mod N)."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    raw = [((elem.k % N, elem.coords), coeff) for elem, coeff in p.terms.items()]
-    return SpecializedPolynomial._build("torsionN", p.genus, N, raw)
+    return specialize(p, torsion(N))
 
 
 def aut_apply_poly(tau, p):
     """Apply an automorphism to every group element of a polynomial."""
     out = HeisPolynomial(p.genus)
-    terms = {}
-    for elem, coeff in p.terms.items():
-        image = tau.apply(elem)
-        terms[image] = terms.get(image, 0) + coeff
-    out.terms = {e: c for e, c in terms.items() if c}
+    out.terms = _add_terms({}, ((tau.apply(e), c) for e, c in p.terms.items()))
     return out

@@ -15,6 +15,8 @@ import itertools
 
 import numpy as np
 
+from . import heis
+
 
 def _split_pq(h):
     p = tuple(h.coords[2 * i] for i in range(h.genus))
@@ -50,11 +52,6 @@ def schrodinger_matrix(N, g, h):
     return M
 
 
-def _quadratic(coords):
-    return sum(coords[2 * i] * coords[2 * i + 1]
-               for i in range(len(coords) // 2))
-
-
 def finite_lift(phi, N):
     """Correct a symplectic automorphism so it descends to the finite model.
 
@@ -73,7 +70,7 @@ def finite_lift(phi, N):
         e = [0] * n
         e[j] = 1
         Se = tuple(sum(phi.S[i][k] * e[k] for k in range(n)) for i in range(n))
-        defect = _quadratic(tuple(e)) - _quadratic(Se)
+        defect = heis.quadratic(tuple(e)) - heis.quadratic(Se)
         delta.append(N * (defect % 2))
     from .aut import HeisAutomorphism
     return HeisAutomorphism(phi.genus, tuple(delta), phi.S)
@@ -84,15 +81,12 @@ def verify_schrodinger_rep(N, g, tol=1e-10, rng=None):
 
     Returns a list of (description, bool).  Covers all generator pairs,
     unitarity of the generator images, and the commutator of each a_i, b_i
-    pair landing on exp(2 i pi / N) times the identity.
+    pair landing on exp(2 i pi / N) times the identity.  With rng, 200
+    random products are checked too and reported as the one entry
+    'random[200]', true only if all of them pass.
     """
-    from . import heis
-
     report = []
-    gens = [("u", heis.u(g))]
-    for i in range(1, g + 1):
-        gens.append((f"a{i}", heis.gen_a(g, i)))
-        gens.append((f"b{i}", heis.gen_b(g, i)))
+    gens = heis.generators(g)
     mats = {name: schrodinger_matrix(N, g, x) for name, x in gens}
     dim = N ** g
     eye = np.eye(dim)
@@ -111,8 +105,8 @@ def verify_schrodinger_rep(N, g, tol=1e-10, rng=None):
         target = np.exp(2j * np.pi / N) * eye
         report.append((f"commutator[{i}]", np.abs(comm - target).max() < tol))
     if rng is not None:
-        from . import heis
-        for trial in range(200):
+        all_ok = True
+        for _ in range(200):
             x = heis.HeisElement(g, int(rng.integers(-5, 6)),
                                  tuple(int(rng.integers(-4, 5))
                                        for _ in range(2 * g)))
@@ -121,9 +115,8 @@ def verify_schrodinger_rep(N, g, tol=1e-10, rng=None):
                                        for _ in range(2 * g)))
             ok = np.abs(schrodinger_matrix(N, g, x) @ schrodinger_matrix(N, g, y)
                         - schrodinger_matrix(N, g, x * y)).max() < 1e-9
-            if not ok:
-                report.append((f"random[{trial}]", False))
-        report.append(("random[200]", True))
+            all_ok = all_ok and ok
+        report.append(("random[200]", all_ok))
     return report
 
 
@@ -137,21 +130,15 @@ def weil_intertwiner(N, g, phi, tol_null=1e-10, tol_gap=1e-6):
     values.  The returned unitary is normalized so its first nonzero entry
     (row-major scan) is real and positive.
     """
-    from . import heis
-
     if any(phi.delta):
         raise ValueError("automorphism must have zero delta part")
     if phi.genus != g:
         raise ValueError("genus mismatch")
     lifted = finite_lift(phi, N)
     dim = N ** g
-    gens = [heis.u(g)]
-    for i in range(1, g + 1):
-        gens.append(heis.gen_a(g, i))
-        gens.append(heis.gen_b(g, i))
     eye = np.eye(dim)
     blocks = []
-    for h in gens:
+    for _, h in heis.generators(g):
         A = schrodinger_matrix(N, g, h)
         B = schrodinger_matrix(N, g, lifted.apply(h))
         # vec is row-major: vec(U A) = (I kron A^T) vec U, vec(B U) = (B kron I) vec U
@@ -175,15 +162,9 @@ def weil_intertwiner(N, g, phi, tol_null=1e-10, tol_gap=1e-6):
 
 def weil_residual(N, g, phi, U):
     """Largest intertwining defect over the generators."""
-    from . import heis
-
     lifted = finite_lift(phi, N)
-    gens = [heis.u(g)]
-    for i in range(1, g + 1):
-        gens.append(heis.gen_a(g, i))
-        gens.append(heis.gen_b(g, i))
     worst = 0.0
-    for h in gens:
+    for _, h in heis.generators(g):
         A = schrodinger_matrix(N, g, h)
         B = schrodinger_matrix(N, g, lifted.apply(h))
         worst = max(worst, np.abs(U @ A - B @ U).max())

@@ -65,6 +65,50 @@ def test_specialize(capsys):
     assert out.strip() == "1"
 
 
+def test_specialize_torsion_word_form(capsys):
+    code, out = run(capsys, "specialize", "--specialize", "torsion5",
+                    "--plain", "a b")
+    assert code == 0
+    assert out == "a1 b1\n"
+
+
+def test_morita_d_word(capsys):
+    code, out = run(capsys, "morita", "--d", "1", "--word", "a1 b1 a1^-1 b1^-1")
+    assert code == 0
+    assert out == "2\n"
+
+
+@pytest.mark.parametrize("argv", [["morita", "--bounding-pair"],
+                                  ["schrodinger", "--N", "3"], ["verify"]])
+def test_format_flags_only_where_rendered(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--plain"])
+    assert exc.value.code == 2
+
+
+def one_line_error(capsys, *argv):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    return (code == 1 and captured.out == "" and len(lines) == 1
+            and lines[0].startswith("error: "))
+
+
+@pytest.mark.parametrize("witness", [
+    "{}", "[1]", "null", '{"delta": [], "S": []}',
+    '{"delta": [0,0], "S": [[1,0],[0,"x"]]}'])
+def test_aut_witness_malformed(capsys, witness):
+    assert one_line_error(capsys, "aut", "--witness", witness)
+
+
+@pytest.mark.parametrize("data", [
+    [{"s1": 1}], {"a": 1}, [{"s1": 1, "s2": 1, "sl": 1, "loop": 5}]])
+def test_pairing_fixture_malformed(capsys, tmp_path, data):
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps(data))
+    assert one_line_error(capsys, "pairing", "--fixture", str(path))
+
+
 def test_pairing_builtin(capsys):
     code, out = run(capsys, "pairing", "--builtin", "ta-wb-wa", "--plain")
     assert code == 0

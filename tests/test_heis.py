@@ -67,6 +67,21 @@ def test_power(x, n):
     assert x ** (-n) == acc.inverse()
 
 
+def test_power_closed_form():
+    rng = random.Random(41)
+    for g in (1, 2, 3):
+        x = random_element(rng, g)
+        for n in range(-5, 6):
+            acc = heis.identity(g)
+            for _ in range(abs(n)):
+                acc = acc * (x if n > 0 else x.inverse())
+            assert x ** n == acc
+    assert heis.gen_a(1, 1) ** 10**9 == HeisElement(1, 0, (10**9, 0))
+    x = heis.u(2) * heis.gen_a(2, 2) * heis.gen_b(2, 2)
+    assert x == HeisElement(2, 2, (0, 0, 1, 1))
+    assert x ** -10**9 == HeisElement(2, -2 * 10**9, (0, 0, -10**9, -10**9))
+
+
 @given(elem1, elem1)
 def test_conjugate(h, x):
     assert h.conjugate(x) == h * x * h.inverse()

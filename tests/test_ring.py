@@ -97,6 +97,7 @@ def test_specialization_examples():
     q = parse_poly(1, "a b - u^2 b a")
     assert ring.specialize_abelianize(q).is_zero()
     # torsion keeps the group structure with k reduced
+    assert str(ring.specialize_torsion(parse_poly(1, "a b"), 5)) == "a1 b1"
     t = ring.specialize_torsion(parse_poly(1, "u^3"), 3)
     assert t.is_one()
     assert not ring.specialize_torsion(parse_poly(1, "u^3"), 4).is_one()
@@ -121,6 +122,27 @@ def test_specializations_are_ring_homs_bulk():
             assert fn(p + q) == fn(p) + fn(q)
             assert fn(p * q) == fn(p) * fn(q)
         assert ring.specialize_moriyama(HeisPolynomial.one(g)).is_one()
+
+
+def test_specialized_str_parses_back():
+    rng = random.Random(9)
+    for _ in range(300):
+        g = rng.choice((1, 2, 3))
+        p = random_poly(rng, g, nterms=5)
+        for q in (ring.MORIYAMA, ring.ABELIAN, ring.torsion(rng.randint(1, 7))):
+            s = ring.specialize(p, q)
+            assert ring.specialize(parse_poly(g, str(s)), q) == s
+
+
+def test_quotient_names():
+    assert ring.quotient("moriyama") == ring.MORIYAMA
+    assert ring.quotient("abelian") == ring.ABELIAN
+    assert ring.quotient("torsion5") == ring.quotient("torsion", 5) == ring.torsion(5)
+    for bad in ("torsion", "torsionX", "moriyama2", ""):
+        with pytest.raises(ValueError):
+            ring.quotient(bad)
+    with pytest.raises(ValueError):
+        ring.quotient("torsion0")
 
 
 def test_aut_apply_poly_is_ring_hom():

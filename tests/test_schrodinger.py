@@ -48,6 +48,27 @@ def test_rep_property_all_N():
             assert not bad, f"N={N}, g={g}: {bad}"
 
 
+def test_random_check_reports_failure(monkeypatch):
+    report = dict(sch.verify_schrodinger_rep(3, 1, rng=np.random.default_rng(5)))
+    assert report["random[200]"]
+    # break the first product whose left factor has |k| >= 2: a random
+    # pair, since the generator checks only multiply elements with k in {0, 1}
+    honest, broken = HeisElement.__mul__, []
+
+    def mul(self, other):
+        out = honest(self, other)
+        if abs(self.k) >= 2 and not broken:
+            broken.append(self)
+            return HeisElement(out.genus, out.k + 1, out.coords)
+        return out
+
+    monkeypatch.setattr(HeisElement, "__mul__", mul)
+    report = sch.verify_schrodinger_rep(3, 1, rng=np.random.default_rng(5))
+    assert len(broken) == 1
+    assert [name for name, ok in report if not ok] == ["random[200]"]
+    assert [name for name, _ in report].count("random[200]") == 1
+
+
 def test_rep_property_random_pairs():
     rng = np.random.default_rng(31)
     for _ in range(200):
