@@ -16,28 +16,16 @@ from . import heis
 from .heis import HeisElement
 
 
-def _symplectic_J(genus):
-    n = 2 * genus
-    J = [[0] * n for _ in range(n)]
-    for i in range(genus):
-        J[2 * i][2 * i + 1] = 1
-        J[2 * i + 1][2 * i] = -1
-    return J
-
-
-def _mat_mul(A, B):
-    n, m, p = len(A), len(B), len(B[0])
-    return [[sum(A[i][k] * B[k][j] for k in range(m)) for j in range(p)]
-            for i in range(n)]
-
-
-def _mat_transpose(A):
-    return [list(row) for row in zip(*A)]
-
-
 def is_symplectic(S, genus):
-    J = _symplectic_J(genus)
-    return _mat_mul(_mat_mul(_mat_transpose(S), J), S) == J
+    """S^T J S == J: omega(S e_i, S e_j) = omega(e_i, e_j) on the columns of S.
+
+    omega(e_i, e_j) is (-1)^i when j = i ^ 1 and 0 otherwise; both sides are
+    antisymmetric, so only i < j is checked.
+    """
+    cols = list(zip(*S))
+    n = 2 * genus
+    return all(heis.omega(cols[i], cols[j]) == (j == i ^ 1) * (-1) ** i
+               for i in range(n) for j in range(i + 1, n))
 
 
 @dataclass(frozen=True)
@@ -50,7 +38,7 @@ class HeisAutomorphism:
         n = 2 * self.genus
         if len(self.delta) != n or len(self.S) != n or any(len(r) != n for r in self.S):
             raise ValueError("dimension mismatch in automorphism data")
-        if not is_symplectic([list(r) for r in self.S], self.genus):
+        if not is_symplectic(self.S, self.genus):
             raise ValueError("S is not symplectic")
 
     def apply(self, x):
@@ -74,10 +62,13 @@ class HeisAutomorphism:
 
     def inverse(self):
         n = 2 * self.genus
-        Sinv = _symplectic_inverse(self.S, self.genus)
+        S = self.S
+        # S^-1 = -J S^T J for symplectic S, entrywise
+        Sinv = tuple(tuple((-1) ** (i + j) * S[j ^ 1][i ^ 1] for j in range(n))
+                     for i in range(n))
         delta = tuple(-sum(self.delta[k] * Sinv[k][j] for k in range(n))
                       for j in range(n))
-        return HeisAutomorphism(self.genus, delta, tuple(tuple(r) for r in Sinv))
+        return HeisAutomorphism(self.genus, delta, Sinv)
 
     def is_identity(self):
         return self == identity_aut(self.genus)
@@ -101,13 +92,6 @@ class HeisAutomorphism:
         return cls(len(S) // 2, tuple(delta), S)
 
 
-def _symplectic_inverse(S, genus):
-    # S^-1 = J^-1 S^T J for symplectic S (J^-1 = -J)
-    J = _symplectic_J(genus)
-    Jinv = [[-x for x in row] for row in J]
-    return _mat_mul(_mat_mul(Jinv, _mat_transpose([list(r) for r in S])), J)
-
-
 def identity_aut(genus):
     n = 2 * genus
     S = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
@@ -116,14 +100,9 @@ def identity_aut(genus):
 
 def inner_of(h):
     """The inner automorphism x -> h x h^-1, given by delta(y) = 2 omega(hbar, y)."""
-    g = h.genus
-    n = 2 * g
-    delta = [0] * n
-    for j in range(n):
-        basis = [0] * n
-        basis[j] = 1
-        delta[j] = 2 * heis.omega(h.coords, tuple(basis))
-    return HeisAutomorphism(g, tuple(delta), identity_aut(g).S)
+    S = identity_aut(h.genus).S  # its rows are the basis vectors e_j
+    delta = tuple(2 * heis.omega(h.coords, e) for e in S)
+    return HeisAutomorphism(h.genus, delta, S)
 
 
 def inner_witness(phi):
@@ -138,11 +117,9 @@ def inner_witness(phi):
         return None
     if any(d % 2 for d in phi.delta):
         return None
-    coords = [0] * (2 * g)
-    for i in range(g):
-        coords[2 * i] = phi.delta[2 * i + 1] // 2       # a_i coefficient
-        coords[2 * i + 1] = -phi.delta[2 * i] // 2      # b_i coefficient
-    h = HeisElement(g, 0, tuple(coords))
+    # hbar = J delta / 2, entrywise hbar_k = (-1)^k delta_{k^1} / 2
+    coords = tuple((-1) ** k * phi.delta[k ^ 1] // 2 for k in range(2 * g))
+    h = HeisElement(g, 0, coords)
     if inner_of(h) != phi:
         return None
     return h
@@ -213,17 +190,6 @@ def morita_d(i, word):
     return total
 
 
-def _word_homology(genus, word):
-    coords = [0] * (2 * genus)
-    for name, exp in word:
-        idx = int(name[1:])
-        if not 1 <= idx <= genus:
-            raise ValueError(f"letter {name!r} out of range for genus {genus}")
-        offset = 2 * (idx - 1) + (0 if name[0] == "a" else 1)
-        coords[offset] += exp
-    return coords
-
-
 def morita_crossed_hom(genus, tables):
     """Automorphism induced by an action on the free generators of pi_1.
 
@@ -233,12 +199,8 @@ def morita_crossed_hom(genus, tables):
     delta(c) = sum_i d_i(image of c) - d_i(c).
     """
     names = heis.generator_names(genus)[1:]
-    n = 2 * genus
-    S_cols = []
-    for name in names:
-        S_cols.append(_word_homology(genus, tables[name]))
-    S = tuple(tuple(S_cols[j][i] for j in range(n)) for i in range(n))
-    if not is_symplectic([list(r) for r in S], genus):
+    S = tuple(zip(*(heis.from_word(genus, tables[name]).coords for name in names)))
+    if not is_symplectic(S, genus):
         raise ValueError("action is not symplectic on homology")
     delta = []
     for name in names:

@@ -293,7 +293,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         code = args.fn(args)
-    except (ValueError, ArithmeticError, OSError, json.JSONDecodeError) as exc:
+    # RecursionError: input nested too deeply for the parsers
+    except (ValueError, ArithmeticError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return code or 0

@@ -18,7 +18,6 @@ shifted product, and the higher genus separating twist in block form.
 from dataclasses import dataclass
 import importlib.resources
 import json
-import math
 
 from . import aut, ring
 from .aut import HeisAutomorphism
@@ -103,31 +102,22 @@ def mat_mul(A, B):
     return tuple(entries)
 
 
-def apply_aut_entrywise(tau, M):
-    """New RepMatrix with tau applied to every entry; twist left unchanged."""
-    entries = tuple(tuple(ring.aut_apply_poly(tau, p) for p in row)
-                    for row in M.entries)
-    return RepMatrix(M.genus, entries, M.source_twist)
-
-
 def shift_matrix(M, tau):
     """Precompose the source action with tau: applies tau^-1 entrywise."""
-    shifted = apply_aut_entrywise(tau.inverse(), M)
-    return RepMatrix(M.genus, shifted.entries, M.source_twist.compose(tau))
+    inv = tau.inverse()
+    entries = tuple(tuple(ring.aut_apply_poly(inv, p) for p in row)
+                    for row in M.entries)
+    return RepMatrix(M.genus, entries, M.source_twist.compose(tau))
 
 
-def compose_twisted(Fg, Ff, g_H=None):
-    """Matrix of the composite g o f.
+def compose_twisted(Fg, Ff):
+    """Matrix of the composite g o f: Mat(g) . g_H(Mat(f)).
 
-    g_H is the automorphism induced by g; by default it is recovered from
-    the sourceTwist stored on Fg (the twist is the inverse of the induced
-    automorphism).
+    g_H, the automorphism induced by g, is the inverse of the sourceTwist
+    stored on Fg, so g_H(Mat(f)) is Ff shifted by that sourceTwist.
     """
-    if g_H is None:
-        g_H = Fg.source_twist.inverse()
-    twisted = apply_aut_entrywise(g_H, Ff)
-    entries = mat_mul(Fg, twisted)
-    return RepMatrix(Fg.genus, entries, Ff.source_twist.compose(Fg.source_twist))
+    shifted = shift_matrix(Ff, Fg.source_twist)
+    return RepMatrix(Fg.genus, mat_mul(Fg, shifted), shifted.source_twist)
 
 
 def matrix_inverse_entries(M):
@@ -142,8 +132,7 @@ def matrix_inverse_entries(M):
         raise ValueError("only square matrices are invertible")
     g = M.genus
     work = [list(row) for row in M.entries]
-    result = [[HeisPolynomial.one(g) if i == j else HeisPolynomial.zero(g)
-               for j in range(n)] for i in range(n)]
+    result = [list(row) for row in identity_matrix(g, n).entries]
     for col in range(n):
         pivot = None
         for row in range(col, n):
@@ -179,8 +168,7 @@ def rep_matrix_inverse(M):
     the identity with identity twist.
     """
     plain = RepMatrix(M.genus, matrix_inverse_entries(M), aut.identity_aut(M.genus))
-    twisted = apply_aut_entrywise(M.source_twist, plain)
-    return RepMatrix(M.genus, twisted.entries, M.source_twist.inverse())
+    return shift_matrix(plain, M.source_twist.inverse())
 
 
 def specialize_matrix(M, target, order=0):
@@ -203,47 +191,21 @@ def is_specialized_identity(rows):
 # Basis bookkeeping.
 # ---------------------------------------------------------------------------
 
+# Rank of the first handle's exponents (l1, m1) in the n = 2 block order.
+_FIRST_HANDLE_ORDER = {(2, 0): 0, (0, 2): 1, (1, 1): 2, (1, 0): 3, (0, 1): 4, (0, 0): 5}
+
+
 def basis_enumerate(g, n):
     """Ordered multi-indices (weak compositions of n into 2g parts).
 
-    For n = 2 the order is the block order used by the explicit matrices:
-    w(a1), w(b1), v(a1, b1), then v(a1, e) for e over a2, b2, ..., bg, then
-    v(b1, e) likewise, then the remaining indices not involving the first
-    handle, in lexicographic order.  Other n get plain lexicographic order.
+    The order is lexicographic, largest first.  For n = 2 it is then stably
+    sorted into the block order used by the explicit matrices: w(a1), w(b1),
+    v(a1, b1), then v(a1, e) for e over a2, b2, ..., bg, then v(b1, e)
+    likewise, then the indices not involving the first handle.
     """
     if g < 1 or n < 2:
         raise ValueError("need g >= 1 and n >= 2")
     dim = 2 * g
-
-    def unit(i, c=1):
-        v = [0] * dim
-        v[i] = c
-        return tuple(v)
-
-    if n == 2:
-        out = [unit(0, 2), unit(1, 2)]
-        pair = list(unit(0))
-        pair[1] = 1
-        out.append(tuple(pair))
-        for first in (0, 1):
-            for e in range(2, dim):
-                v = [0] * dim
-                v[first] = 1
-                v[e] = 1
-                out.append(tuple(v))
-        rest = []
-        for e in range(2, dim):
-            rest.append(unit(e, 2))
-        for d in range(2, dim):
-            for e in range(d + 1, dim):
-                v = [0] * dim
-                v[d] = 1
-                v[e] = 1
-                rest.append(tuple(v))
-        out.extend(sorted(rest, reverse=True))
-        assert len(out) == math.comb(dim + n - 1, n)
-        return out
-
     out = []
 
     def recurse(prefix, remaining, slots):
@@ -254,6 +216,8 @@ def basis_enumerate(g, n):
             recurse(prefix + [c], remaining - c, slots - 1)
 
     recurse([], n, dim)
+    if n == 2:
+        out.sort(key=lambda index: _FIRST_HANDLE_ORDER[index[:2]])
     return out
 
 
@@ -349,7 +313,7 @@ def matrix_separating_twist(g):
     """
     if g < 2:
         raise ValueError("separating twist needs genus >= 2")
-    size = math.comb(2 * g + 1, 2)
+    size = len(basis_enumerate(g, 2))
     mid = 2 * g - 2
     lam = matrix_boundary_twist()
     blocks = fixture_blocks(genus=g)
@@ -384,8 +348,7 @@ def untwist(M, h):
     """
     if M.source_twist != aut.inner_of(h).inverse():
         raise ValueError("sourceTwist is not the inverse inner automorphism of h")
-    entries = tuple(tuple(p * h for p in row) for row in M.entries)
-    return RepMatrix(M.genus, entries, aut.identity_aut(M.genus))
+    return RepMatrix(M.genus, scalar_mul(M, h).entries, aut.identity_aut(M.genus))
 
 
 def scalar_mul(M, h):

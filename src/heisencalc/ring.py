@@ -157,6 +157,9 @@ class HeisPolynomial:
 #   symbol  := 'u' | 'a' | 'b' | 'a<i>' | 'b<i>'
 # ---------------------------------------------------------------------------
 
+# Largest n accepted in (expr)^n; each step is one full product.
+MAX_POWER = 16
+
 _EXPR_TOKEN = re.compile(r"\s*(?:(\d+)|([uab]\d*)|(\^-?\d+)|([+\-()]))")
 
 
@@ -230,8 +233,9 @@ class _Parser:
                 raise ValueError("unbalanced parentheses")
             if self.peek()[0] == "pow":
                 power = self.next()[1]
-                if power < 0:
-                    raise ValueError("negative powers only allowed on group generators")
+                if not 0 <= power <= MAX_POWER:
+                    raise ValueError(f"(expr)^n needs 0 <= n <= {MAX_POWER}; "
+                                     "negative powers only on group generators")
                 result = HeisPolynomial.one(self.genus)
                 for _ in range(power):
                     result = result * inner

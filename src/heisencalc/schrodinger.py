@@ -8,7 +8,8 @@ generators) acts by
 
 Everything here is floating point with explicit tolerances; the intertwiner
 for a symplectic automorphism is found as the null space of a stacked linear
-system and is checked to be one dimensional before use.
+system and is checked to be one dimensional before use.  Dense arrays above
+MAX_DENSE_BYTES are refused before anything is allocated.
 """
 
 import itertools
@@ -16,12 +17,19 @@ import itertools
 import numpy as np
 
 from . import heis
+from .aut import HeisAutomorphism
+
+# The Weil system at N=7 g=2 (about 461 MB) fits; at N=8 g=2 (1.3 GB) it does not.
+MAX_DENSE_BYTES = 2 ** 29
 
 
-def _split_pq(h):
-    p = tuple(h.coords[2 * i] for i in range(h.genus))
-    q = tuple(h.coords[2 * i + 1] for i in range(h.genus))
-    return p, q
+def _check_dense(N, g, power, count=1):
+    """Refuse N < 2, and count * N^power complex entries above MAX_DENSE_BYTES."""
+    if N < 2:
+        raise ValueError("N must be >= 2")
+    # N^64 alone exceeds the budget, so a larger power need not be computed
+    if 16 * count * N ** min(power, 64) > MAX_DENSE_BYTES:
+        raise ValueError(f"N={N}, genus {g}: dense array over {MAX_DENSE_BYTES} bytes")
 
 
 def _states(N, g):
@@ -35,11 +43,10 @@ def schrodinger_matrix(N, g, h):
     s + p mod N, so that matrices multiply in the same order as group
     elements.
     """
-    if N < 2:
-        raise ValueError("N must be >= 2")
+    _check_dense(N, g, 2 * g)
     if h.genus != g:
         raise ValueError("genus mismatch")
-    p, q = _split_pq(h)
+    p, q = h.coords[::2], h.coords[1::2]
     states = _states(N, g)
     index = {s: i for i, s in enumerate(states)}
     dim = N ** g
@@ -64,16 +71,10 @@ def finite_lift(phi, N):
     """
     if N % 2 == 0:
         return phi
-    n = 2 * phi.genus
-    delta = []
-    for j in range(n):
-        e = [0] * n
-        e[j] = 1
-        Se = tuple(sum(phi.S[i][k] * e[k] for k in range(n)) for i in range(n))
-        defect = heis.quadratic(tuple(e)) - heis.quadratic(Se)
-        delta.append(N * (defect % 2))
-    from .aut import HeisAutomorphism
-    return HeisAutomorphism(phi.genus, tuple(delta), phi.S)
+    # the image S e_j of a basis vector is column j of S; the quadratic form
+    # vanishes on e_j, so the defect is that of S e_j alone
+    delta = tuple(N * (heis.quadratic(col) % 2) for col in zip(*phi.S))
+    return HeisAutomorphism(phi.genus, delta, phi.S)
 
 
 def verify_schrodinger_rep(N, g, tol=1e-10, rng=None):
@@ -120,6 +121,13 @@ def verify_schrodinger_rep(N, g, tol=1e-10, rng=None):
     return report
 
 
+def _generator_pairs(N, g, phi):
+    """[(pi(h), pi(phi~ h))] over the generators h, with phi~ = finite_lift(phi, N)."""
+    lifted = finite_lift(phi, N)
+    return [(schrodinger_matrix(N, g, h), schrodinger_matrix(N, g, lifted.apply(h)))
+            for _, h in heis.generators(g)]
+
+
 def weil_intertwiner(N, g, phi, tol_null=1e-10, tol_gap=1e-6):
     """Unitary U with U pi(h) = pi(phi(h)) U for all h, up to phase.
 
@@ -128,19 +136,18 @@ def weil_intertwiner(N, g, phi, tol_null=1e-10, tol_gap=1e-6):
     into one linear system on vec(U); the null space must be exactly one
     dimensional, otherwise an ArithmeticError reports both tested singular
     values.  The returned unitary is normalized so its first nonzero entry
-    (row-major scan) is real and positive.
+    (row-major scan) is real and positive.  The system has (2g+1) N^(4g)
+    entries; a ValueError refuses it above MAX_DENSE_BYTES.
     """
     if any(phi.delta):
         raise ValueError("automorphism must have zero delta part")
     if phi.genus != g:
         raise ValueError("genus mismatch")
-    lifted = finite_lift(phi, N)
+    _check_dense(N, g, 4 * g, 2 * g + 1)
     dim = N ** g
     eye = np.eye(dim)
     blocks = []
-    for _, h in heis.generators(g):
-        A = schrodinger_matrix(N, g, h)
-        B = schrodinger_matrix(N, g, lifted.apply(h))
+    for A, B in _generator_pairs(N, g, phi):
         # vec is row-major: vec(U A) = (I kron A^T) vec U, vec(B U) = (B kron I) vec U
         blocks.append(np.kron(eye, A.T) - np.kron(B, eye))
     system = np.vstack(blocks)
@@ -162,11 +169,8 @@ def weil_intertwiner(N, g, phi, tol_null=1e-10, tol_gap=1e-6):
 
 def weil_residual(N, g, phi, U):
     """Largest intertwining defect over the generators."""
-    lifted = finite_lift(phi, N)
     worst = 0.0
-    for _, h in heis.generators(g):
-        A = schrodinger_matrix(N, g, h)
-        B = schrodinger_matrix(N, g, lifted.apply(h))
+    for A, B in _generator_pairs(N, g, phi):
         worst = max(worst, np.abs(U @ A - B @ U).max())
     return worst
 

@@ -64,6 +64,72 @@ def test_rejects_non_symplectic():
         HeisAutomorphism(1, (0, 0), ((1, 0), (0, 2)))
 
 
+def reference_J(genus):
+    J = [[0] * (2 * genus) for _ in range(2 * genus)]
+    for i in range(genus):
+        J[2 * i][2 * i + 1], J[2 * i + 1][2 * i] = 1, -1
+    return J
+
+
+def reference_matmul(A, B):
+    return [[sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0]))]
+            for i in range(len(A))]
+
+
+def reference_transpose(A):
+    return [list(col) for col in zip(*A)]
+
+
+def reference_is_symplectic(S, genus):
+    J = reference_J(genus)
+    return reference_matmul(reference_matmul(reference_transpose(S), J), S) == J
+
+
+def symplectic_and_near_misses(rng, genus):
+    """A symplectic S from a twist word, the same S with one entry moved by
+    +-1 (almost never symplectic), and a random small integer matrix."""
+    n = 2 * genus
+    S = [list(r) for r in random_aut(rng, genus).S]
+    moved = [row[:] for row in S]
+    moved[rng.randrange(n)][rng.randrange(n)] += rng.choice((-1, 1))
+    noise = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]
+    return S, moved, noise
+
+
+def test_is_symplectic_matches_reference():
+    rng = random.Random(15)
+    seen = {True: 0, False: 0}
+    for _ in range(600):
+        g = rng.choice((1, 2, 3))
+        for S in symplectic_and_near_misses(rng, g):
+            want = reference_is_symplectic(S, g)
+            seen[want] += 1
+            assert aut.is_symplectic(tuple(map(tuple, S)), g) == want
+            if want:
+                HeisAutomorphism(g, (0,) * (2 * g), tuple(map(tuple, S)))
+            else:
+                with pytest.raises(ValueError):
+                    HeisAutomorphism(g, (0,) * (2 * g), tuple(map(tuple, S)))
+    # genus 1 noise matrices with determinant 1 are symplectic
+    assert seen[True] > 700 and seen[False] > 1000
+
+
+def test_inverse_matches_reference():
+    rng = random.Random(16)
+    for _ in range(300):
+        g = rng.choice((1, 2, 3))
+        phi = random_aut(rng, g)
+        J = reference_J(g)
+        minus_J = [[-x for x in row] for row in J]
+        Sinv = reference_matmul(reference_matmul(minus_J, reference_transpose(phi.S)), J)
+        delta = tuple(-sum(phi.delta[k] * Sinv[k][j] for k in range(2 * g))
+                      for j in range(2 * g))
+        inv = phi.inverse()
+        assert inv.S == tuple(map(tuple, Sinv))
+        assert inv.delta == delta
+        assert phi.compose(inv).is_identity()
+
+
 def test_inner_of_and_witness():
     rng = random.Random(13)
     for _ in range(200):

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
+import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from heisencalc import cli
 
@@ -175,6 +179,18 @@ def test_domain_error_exit_code(capsys):
     assert code == 1
 
 
+def test_size_limits_exit_1(capsys):
+    assert one_line_error(capsys, "mul", "(1 + a)^100000000000")
+    assert one_line_error(capsys, "schrodinger", "--N", "1000000", "--genus", "3")
+    assert one_line_error(capsys, "schrodinger", "--N", "1000000", "--genus", "3",
+                          "--weil", "a")
+
+
+def test_deep_nesting_is_one_line_error(capsys):
+    assert one_line_error(capsys, "mul", "(" * 3000 + "a" + ")" * 3000)
+    assert one_line_error(capsys, "aut", "--witness", "[" * 100000 + "]" * 100000)
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["nonsense"])
@@ -185,3 +201,69 @@ def test_output_deterministic(capsys):
     _, out1 = run(capsys, "matrix", "boundary")
     _, out2 = run(capsys, "matrix", "boundary")
     assert out1 == out2
+
+
+_TEXT = st.text(alphabet="uab12^-+() ;,", max_size=10)
+
+
+@st.composite
+def cli_argv(draw):
+    """Random argv for one subcommand, with small genus, N and strings."""
+    cmd = draw(st.sampled_from(["phi", "mul", "aut", "morita", "matrix", "compose",
+                                "specialize", "pairing", "schrodinger", "verify", "?"]))
+    small = st.sampled_from(["-1", "0", "1", "2", "3", "x"])
+    genus = ["--genus", draw(small)]
+    fmt = draw(st.sampled_from([[], ["--json"], ["--plain"], ["--latex"]]))
+    text = draw(_TEXT)
+    builtin = st.sampled_from(list(cli.BUILTIN_MATRICES) + ["nope"])
+    if cmd == "phi":
+        return [cmd, *genus, "--strands", draw(small), *fmt, text]
+    if cmd == "mul":
+        return [cmd, *genus, *fmt, text, draw(_TEXT)]
+    if cmd == "aut":
+        choice = draw(st.sampled_from([["--twist", draw(st.sampled_from("abc"))],
+                                       ["--inner", text], ["--witness", text],
+                                       ["--witness", '{"delta": [0, 2], "S": [[1, 0], [0, 1]]}'],
+                                       []]))
+        extra = draw(st.sampled_from([[], ["--inverse"], ["--index", draw(small)]]))
+        return [cmd, *genus, *fmt, *choice, *extra]
+    if cmd == "morita":
+        choice = draw(st.sampled_from([["--bounding-pair"], ["--twist", "b"],
+                                       ["--d", draw(small), "--word", text], []]))
+        return [cmd, *genus, *choice]
+    if cmd == "matrix":
+        return [cmd, draw(builtin), *genus, *fmt]
+    if cmd == "compose":
+        return [cmd, *draw(st.lists(builtin, min_size=1, max_size=3)), *genus, *fmt]
+    if cmd == "specialize":
+        name = draw(st.sampled_from(["moriyama", "abelian", "torsion3", "torsion", "torsion0", "x"]))
+        return [cmd, *genus, "--specialize", name, *fmt, text]
+    if cmd == "pairing":
+        choice = draw(st.sampled_from([["--builtin", "s-entry"], ["--builtin", "ta-wb-wa"],
+                                       ["--fixture", os.devnull],
+                                       ["--fixture", os.path.join(os.devnull, "x")], []]))
+        return [cmd, *genus, *fmt, *choice]
+    N = ["--N", draw(st.sampled_from(["-1", "0", "1", "2", "3", "4"]))]
+    low_genus = ["--genus", draw(st.sampled_from(["0", "1", "2"]))]
+    tol = draw(st.sampled_from([[], ["--tol", "1e-3"], ["--tol", "nan"], ["--tol", "x"]]))
+    if cmd == "schrodinger":
+        choice = draw(st.sampled_from([["--element", text], ["--weil", "a"], ["--weil", "b"], []]))
+        return [cmd, *N, *low_genus, *choice, *tol]
+    if cmd == "verify":
+        extra = draw(st.sampled_from([[], ["--all"], ["--strands", draw(small)]]))
+        return [cmd, *genus, *extra, *tol]
+    return [text, *fmt]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cli_argv())
+def test_cli_fuzz_exit_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()

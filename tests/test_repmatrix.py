@@ -6,18 +6,7 @@ import pytest
 from heisencalc import aut, heis, repmatrix as rm, ring
 from heisencalc.heis import HeisElement
 from heisencalc.ring import HeisPolynomial, parse_poly
-
-
-def random_monomial_matrix(rng, genus, size):
-    rows = []
-    for _ in range(size):
-        row = []
-        for _ in range(size):
-            e = HeisElement(genus, rng.randint(-3, 3),
-                            tuple(rng.randint(-2, 2) for _ in range(2 * genus)))
-            row.append(HeisPolynomial.monomial(e, rng.choice((-1, 1))))
-        rows.append(tuple(row))
-    return rm.RepMatrix(genus, tuple(rows), aut.identity_aut(genus))
+from tests_helpers import random_monomial_matrix, random_twist_aut
 
 
 def test_basis_enumerate_genus1():
@@ -37,6 +26,22 @@ def test_basis_enumerate_counts_and_order():
     # middle blocks: first-handle tethers against the other handles
     assert out[3:5] == [(1, 0, 1, 0), (1, 0, 0, 1)]
     assert out[5:7] == [(0, 1, 1, 0), (0, 1, 0, 1)]
+
+
+def test_basis_enumerate_n2_order_genus3():
+    assert rm.basis_enumerate(3, 2) == [
+        # w(a1), w(b1), v(a1, b1)
+        (2, 0, 0, 0, 0, 0), (0, 2, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0),
+        # v(a1, e) for e over a2, b2, a3, b3
+        (1, 0, 1, 0, 0, 0), (1, 0, 0, 1, 0, 0), (1, 0, 0, 0, 1, 0), (1, 0, 0, 0, 0, 1),
+        # v(b1, e) likewise
+        (0, 1, 1, 0, 0, 0), (0, 1, 0, 1, 0, 0), (0, 1, 0, 0, 1, 0), (0, 1, 0, 0, 0, 1),
+        # the indices not involving the first handle, lexicographic, largest first
+        (0, 0, 2, 0, 0, 0), (0, 0, 1, 1, 0, 0), (0, 0, 1, 0, 1, 0), (0, 0, 1, 0, 0, 1),
+        (0, 0, 0, 2, 0, 0), (0, 0, 0, 1, 1, 0), (0, 0, 0, 1, 0, 1),
+        (0, 0, 0, 0, 2, 0), (0, 0, 0, 0, 1, 1), (0, 0, 0, 0, 0, 2)]
+    # other n keep the plain order
+    assert rm.basis_enumerate(3, 3) == sorted(rm.basis_enumerate(3, 3), reverse=True)
 
 
 def test_twist_matrix_entries():
@@ -149,6 +154,24 @@ def test_shift_respects_products():
         prod = rm.RepMatrix(1, rm.mat_mul(A, B), aut.identity_aut(1))
         assert rm.shift_matrix(prod, tau).entries == rm.mat_mul(
             rm.shift_matrix(A, tau), rm.shift_matrix(B, tau))
+
+
+def test_compose_twisted_matches_definition():
+    """Mat(g o f) = Mat(g) . g_H(Mat(f)), g_H the inverse of Fg's sourceTwist,
+    applied entrywise; the composite's twist is tau_f o tau_g."""
+    rng = random.Random(25)
+    for _ in range(60):
+        g = rng.choice((1, 2))
+        Fg = rm.RepMatrix(g, random_monomial_matrix(rng, g, 2).entries,
+                          random_twist_aut(rng, g))
+        Ff = rm.RepMatrix(g, random_monomial_matrix(rng, g, 2).entries,
+                          random_twist_aut(rng, g))
+        g_H = Fg.source_twist.inverse()
+        twisted = rm.RepMatrix(g, tuple(tuple(ring.aut_apply_poly(g_H, p) for p in row)
+                                        for row in Ff.entries), aut.identity_aut(g))
+        comp = rm.compose_twisted(Fg, Ff)
+        assert comp.entries == rm.mat_mul(Fg, twisted)
+        assert comp.source_twist == Ff.source_twist.compose(Fg.source_twist)
 
 
 def test_compose_with_identity():

@@ -59,6 +59,18 @@ def test_parse_rejects():
         parse_poly(1, "x + 1")
 
 
+def test_power_of_sum_is_capped():
+    n = ring.MAX_POWER
+    assert parse_poly(1, f"(1 + u)^{n}") == parse_poly(1, "1 + u") * parse_poly(1, f"(1 + u)^{n - 1}")
+    assert parse_poly(1, "(1 + a)^0") == HeisPolynomial.one(1)
+    # refused before looping: a huge exponent returns at once
+    for text in (f"(1 + a)^{n + 1}", "(a)^999999999999999999"):
+        with pytest.raises(ValueError, match="expr"):
+            parse_poly(1, text)
+    # generator powers are closed form and not capped
+    assert parse_poly(1, "a^1000000") == HeisPolynomial.monomial(heis.gen_a(1, 1, 10 ** 6))
+
+
 @given(small_poly, small_poly, small_poly)
 @settings(max_examples=60)
 def test_ring_axioms(p, q, r):

@@ -40,6 +40,19 @@ def test_rejects_small_N():
         sch.schrodinger_matrix(1, 1, heis.u(1))
 
 
+def test_dense_size_cap():
+    # refused sizes only: the check runs before anything is allocated
+    with pytest.raises(ValueError, match="dense array"):
+        sch.schrodinger_matrix(10 ** 6, 3, heis.u(3))
+    with pytest.raises(ValueError, match="dense array"):
+        sch.weil_intertwiner(10 ** 6, 3, aut.identity_aut(3))
+    with pytest.raises(ValueError, match="dense array"):
+        sch.weil_intertwiner(8, 2, aut.identity_aut(2))
+    # the budget admits the Weil systems at N=7 g=2 and N=3 g=3
+    assert 16 * 5 * 7 ** 8 <= sch.MAX_DENSE_BYTES
+    assert 16 * 7 * 3 ** 12 <= sch.MAX_DENSE_BYTES
+
+
 def test_rep_property_all_N():
     for N in range(2, 9):
         for g in (1, 2):
