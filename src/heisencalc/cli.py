@@ -9,6 +9,7 @@ error (bad input values, failed verification), 2 usage error.
 
 import argparse
 import json
+import math
 import sys
 
 from . import aut, braid, heis, pairing, repmatrix, ring, schrodinger
@@ -166,7 +167,7 @@ def cmd_schrodinger(args):
         phi = aut.HeisAutomorphism(args.genus, (0,) * (2 * args.genus), phi.S)
         U = schrodinger.weil_intertwiner(args.N, args.genus, phi)
         res = schrodinger.weil_residual(args.N, args.genus, phi, U)
-        if res > args.tol:
+        if not res <= args.tol:
             print(f"residual {res:.3e} above tolerance", file=sys.stderr)
             return 1
         print(json.dumps(schrodinger.matrix_to_json(U)))
@@ -199,6 +200,14 @@ def cmd_verify(args):
     for name, ok in checks:
         print(f"{name}: {'pass' if ok else 'FAIL'}")
     return 1 if bad else 0
+
+
+def tolerance(text):
+    """The --tol value: a finite float >= 0 (anything else is a usage error)."""
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    return value
 
 
 def build_parser():
@@ -275,14 +284,14 @@ def build_parser():
     sp.add_argument("--genus", type=int, default=1)
     sp.add_argument("--element")
     sp.add_argument("--weil", choices=["a", "b"])
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--tol", type=tolerance, default=1e-10)
     sp.set_defaults(fn=cmd_schrodinger)
 
     sp = sub.add_parser("verify", help="run the relation and matrix checks")
     sp.add_argument("--genus", type=int, default=1)
     sp.add_argument("--strands", type=int, default=2)
     sp.add_argument("--all", action="store_true")
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--tol", type=tolerance, default=1e-10)
     sp.set_defaults(fn=cmd_verify)
 
     return ap
@@ -292,6 +301,7 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        heis.check_genus(args.genus)
         code = args.fn(args)
     # RecursionError: input nested too deeply for the parsers
     except (ValueError, ArithmeticError, OSError, RecursionError) as exc:

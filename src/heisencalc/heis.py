@@ -17,6 +17,16 @@ import functools
 import operator
 import re
 
+# Largest genus the command line accepts; at genus 16 the separating twist
+# matrix (528 x 528) still builds and renders in about a second.
+MAX_GENUS = 16
+
+
+def check_genus(genus):
+    """Refuse a genus outside 1..MAX_GENUS before anything of that size is built."""
+    if not 1 <= genus <= MAX_GENUS:
+        raise ValueError(f"genus must be in 1..{MAX_GENUS}, got {genus}")
+
 
 def omega(coords_x, coords_y):
     """Symplectic form on coordinate vectors (l1, m1, ..., lg, mg)."""

@@ -1,7 +1,9 @@
 """Sparse exact arithmetic in the integral group ring of the Heisenberg group.
 
 A polynomial is a finite map from group elements to nonzero integer
-coefficients.  Multiplication distributes the group product over terms; all
+coefficients.  Multiplication works per coordinate fibre: the terms of each
+operand are grouped by their H_1 coordinates, and for each pair of fibres the
+u-exponents convolve as plain integers, shifted by omega of the pair; all
 coefficients and exponents are arbitrary-precision.  The module also provides
 the three specialization homomorphisms (to Z[u]/(u^2-1), to the commutative
 Laurent ring, and to the central N-torsion quotient) and the entrywise action
@@ -25,6 +27,18 @@ def _add_terms(terms, pairs):
         else:
             terms.pop(key, None)
     return terms
+
+
+def _fibres(terms):
+    """Group {HeisElement: coeff} by coordinate fibre: {coords: {k: coeff}}."""
+    fibres = {}
+    for e, c in terms.items():
+        fibres.setdefault(e.coords, {})[e.k] = c
+    return fibres
+
+
+def _add_coords(x, y):
+    return tuple(map(operator.add, x, y))
 
 
 def format_sum(pairs, latex=False):
@@ -98,17 +112,21 @@ class HeisPolynomial:
         if isinstance(other, HeisElement):
             other = HeisPolynomial.monomial(other)
         self._check(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 * e2
-                new = terms.get(e, 0) + c1 * c2
-                if new:
-                    terms[e] = new
-                elif e in terms:
-                    del terms[e]
+        # (k, x)(l, y) = (k + l + omega(x, y), x + y): omega and x + y are
+        # computed once per pair of fibres, the u-exponents convolve as ints
+        out_fibres = {}
+        right = [(y, list(fy.items())) for y, fy in _fibres(other.terms).items()]
+        for x, fx in _fibres(self.terms).items():
+            for y, fy in right:
+                w = heis.omega(x, y)
+                acc = out_fibres.setdefault(_add_coords(x, y), {})
+                for k, c in fx.items():
+                    k += w
+                    for l, d in fy:
+                        acc[k + l] = acc.get(k + l, 0) + c * d
         out = HeisPolynomial(self.genus)
-        out.terms = terms
+        out.terms = {HeisElement(self.genus, k, z): c
+                     for z, acc in out_fibres.items() for k, c in acc.items() if c}
         return out
 
     def __rmul__(self, other):
@@ -144,9 +162,19 @@ class HeisPolynomial:
 
     @classmethod
     def from_json(cls, genus, data):
-        terms = [(HeisElement(genus, t["k"], tuple(t["coords"])), t["c"])
-                 for t in data]
-        return cls(genus, terms)
+        """Inverse of to_json; ValueError unless data has that shape."""
+        n = 2 * genus
+        try:
+            ok = isinstance(data, list) and all(
+                type(t["k"]) is int and type(t["c"]) is int and len(t["coords"]) == n
+                and all(type(x) is int for x in t["coords"]) for t in data)
+        except (KeyError, TypeError):
+            ok = False
+        if not ok:
+            raise ValueError(f'polynomial JSON must be [{{"k": int, "coords": [{n} ints], '
+                             '"c": int}, ...]')
+        return cls(genus, [(HeisElement(genus, t["k"], tuple(t["coords"])), t["c"])
+                           for t in data])
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +284,6 @@ def parse_poly(genus, text):
 # ---------------------------------------------------------------------------
 # Specializations.
 # ---------------------------------------------------------------------------
-
-def _add_coords(x, y):
-    return tuple(map(operator.add, x, y))
-
 
 @dataclass(frozen=True)
 class Quotient:
@@ -390,7 +414,20 @@ def specialize_torsion(p, N):
 
 
 def aut_apply_poly(tau, p):
-    """Apply an automorphism to every group element of a polynomial."""
+    """Apply an automorphism to every group element of a polynomial.
+
+    tau(k, x) = (k + delta(x), Sx), so tau is applied to one term per
+    coordinate fibre x and the other terms of the fibre move by the same
+    delta(x).  tau is a bijection, so no two terms merge.
+    """
     out = HeisPolynomial(p.genus)
-    out.terms = _add_terms({}, ((tau.apply(e), c) for e, c in p.terms.items()))
+    moves = {}  # x -> (delta(x), Sx)
+    for e, c in p.terms.items():
+        move = moves.get(e.coords)
+        if move is None:
+            image = tau.apply(e)
+            moves[e.coords] = image.k - e.k, image.coords
+        else:
+            image = HeisElement(p.genus, e.k + move[0], move[1])
+        out.terms[image] = c
     return out

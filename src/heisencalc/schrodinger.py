@@ -151,7 +151,8 @@ def weil_intertwiner(N, g, phi, tol_null=1e-10, tol_gap=1e-6):
         # vec is row-major: vec(U A) = (I kron A^T) vec U, vec(B U) = (B kron I) vec U
         blocks.append(np.kron(eye, A.T) - np.kron(B, eye))
     system = np.vstack(blocks)
-    _, svals, vh = np.linalg.svd(system)
+    # only vh is read: the reduced SVD skips the left singular vectors
+    _, svals, vh = np.linalg.svd(system, full_matrices=False)
     if svals[-1] > tol_null or svals[-2] < tol_gap:
         raise ArithmeticError(
             f"intertwiner space is not one dimensional "

@@ -6,7 +6,7 @@ import os
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from heisencalc import cli
+from heisencalc import cli, heis
 
 
 def run(capsys, *argv):
@@ -184,6 +184,30 @@ def test_size_limits_exit_1(capsys):
     assert one_line_error(capsys, "schrodinger", "--N", "1000000", "--genus", "3")
     assert one_line_error(capsys, "schrodinger", "--N", "1000000", "--genus", "3",
                           "--weil", "a")
+
+
+def test_genus_bound_exit_1(capsys):
+    # refused before any element is built: a huge genus returns at once
+    for cmd in (["mul", "a"], ["phi", "s1"], ["aut", "--twist", "a"],
+                ["morita", "--bounding-pair"], ["matrix", "separating"],
+                ["compose", "ta"], ["specialize", "--specialize", "abelian", "a"],
+                ["pairing", "--builtin", "s-entry"], ["schrodinger", "--N", "2"],
+                ["verify"]):
+        # MAX_GENUS + 1 first: without the bound, 10**9 would exhaust memory
+        for genus in (str(heis.MAX_GENUS + 1), "0", "-1", str(10 ** 9)):
+            assert one_line_error(capsys, *cmd, "--genus", genus), (cmd, genus)
+    code, _ = run(capsys, "mul", "--genus", str(heis.MAX_GENUS), "a1 b16")
+    assert code == 0
+
+
+@pytest.mark.parametrize("cmd", [["schrodinger", "--N", "3", "--weil", "a"],
+                                 ["schrodinger", "--N", "3"], ["verify"]])
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "x"])
+def test_tolerance_must_be_finite_and_nonnegative(capsys, cmd, tol):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*cmd, "--tol", tol])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 def test_deep_nesting_is_one_line_error(capsys):

@@ -156,6 +156,28 @@ def test_shift_respects_products():
             rm.shift_matrix(A, tau), rm.shift_matrix(B, tau))
 
 
+def _word(*letters):
+    """Twisted composite of the matrices in letters, left to right."""
+    M = letters[0]
+    for L in letters[1:]:
+        M = rm.compose_twisted(M, L)
+    return M
+
+
+def _same(M, N):
+    return M.entries == N.entries and M.source_twist == N.source_twist
+
+
+def test_chain_relation_and_boundary_is_central():
+    Ma, Mb, D = rm.matrix_Ta(), rm.matrix_Tb(), rm.matrix_boundary_twist()
+    # the chain relation (Ta Tb)^6 = (Ta Tb Ta)^4 = D
+    assert _same(_word(*[Ma, Mb] * 6), D)
+    assert _same(_word(*[Ma, Mb, Ma] * 4), D)
+    # D commutes with both generators
+    for T in (Ma, Mb):
+        assert _same(_word(D, T), _word(T, D))
+
+
 def test_compose_twisted_matches_definition():
     """Mat(g o f) = Mat(g) . g_H(Mat(f)), g_H the inverse of Fg's sourceTwist,
     applied entrywise; the composite's twist is tau_f o tau_g."""

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from heisencalc import heis, ring
 from heisencalc.heis import HeisElement
 from heisencalc.ring import HeisPolynomial, parse_poly
+from tests_helpers import random_twist_aut
 
 
 def random_poly(rng, genus, nterms=3, span=4):
@@ -167,3 +168,107 @@ def test_aut_apply_poly_is_ring_hom():
             ring.aut_apply_poly(tau, p) * ring.aut_apply_poly(tau, q)
         assert ring.aut_apply_poly(tau, p + q) == \
             ring.aut_apply_poly(tau, p) + ring.aut_apply_poly(tau, q)
+
+
+# ---------------------------------------------------------------------------
+# The product against a term-by-term reference, on both data shapes: few
+# coordinate fibres with a wide u-span (mapping-class matrix entries) and
+# many fibres with a narrow u-span (scattered sums).
+# ---------------------------------------------------------------------------
+
+def reference_mul(p, q):
+    """{HeisElement: coeff} of p q, with one group product per pair of terms."""
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = e1 * e2
+            terms[e] = terms.get(e, 0) + c1 * c2
+    return {e: c for e, c in terms.items() if c}
+
+
+@st.composite
+def shaped_polys(draw, genus, count):
+    """count polynomials of one genus, all of one shape."""
+    if draw(st.booleans()):
+        # few fibres, wide u-span
+        fibre = st.sampled_from(draw(st.lists(
+            st.tuples(*[st.integers(-2, 2)] * (2 * genus)), min_size=1, max_size=3)))
+        k = st.integers(-30, 30)
+    else:
+        # many fibres, narrow u-span
+        fibre = st.tuples(*[st.integers(-3, 3)] * (2 * genus))
+        k = st.integers(-1, 1)
+    term = st.tuples(st.builds(lambda k, x: HeisElement(genus, k, x), k, fibre),
+                     st.integers(-3, 3))
+    return [HeisPolynomial(genus, draw(st.lists(term, max_size=12)))
+            for _ in range(count)]
+
+
+genus_and_polys = st.integers(1, 3).flatmap(
+    lambda g: st.tuples(st.just(g), shaped_polys(g, 3)))
+
+
+@given(genus_and_polys)
+@settings(max_examples=150, deadline=None)
+def test_mul_matches_term_by_term_reference(case):
+    genus, (p, q, r) = case
+    for x, y in ((p, q), (q, p), (p, r), (p, p)):
+        prod = x * y
+        assert prod.terms == reference_mul(x, y)
+        assert all(prod.terms.values())
+    zero = HeisPolynomial.zero(genus)
+    assert (p * zero).is_zero() and (zero * p).is_zero()
+    # every term cancels
+    assert (p * q + (-p) * q).is_zero()
+    assert (p * (q - q)).is_zero()
+
+
+@given(genus_and_polys)
+@settings(max_examples=100, deadline=None)
+def test_mul_ring_axioms_by_shape(case):
+    genus, (p, q, r) = case
+    one = HeisPolynomial.one(genus)
+    assert p * one == p == one * p
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert (p + q) * r == p * r + q * r
+
+
+@given(genus_and_polys, st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_aut_apply_poly_is_ring_hom_by_shape(case, rng):
+    genus, (p, q, _) = case
+    tau = random_twist_aut(rng, genus)
+    image = lambda x: ring.aut_apply_poly(tau, x)
+    assert image(p * q) == image(p) * image(q)
+    assert image(p + q) == image(p) + image(q)
+    assert image(HeisPolynomial.one(genus)) == HeisPolynomial.one(genus)
+    assert image(p).terms == {tau.apply(e): c for e, c in p.terms.items()}
+
+
+def test_mul_cancellation_examples():
+    # the cross terms of (1 + u)(1 - u) cancel inside one fibre
+    assert parse_poly(1, "(1 + u)(1 - u)") == parse_poly(1, "1 - u^2")
+    # a b and u^2 b a are the same group element, so this factor is zero
+    assert (parse_poly(2, "a1 b1 - u^2 b1 a1") * parse_poly(2, "a2 + u")).is_zero()
+    # a b (from the fibre pair a, b) cancels u^2 b a (from the pair b, a)
+    assert parse_poly(1, "(a + b)(b - u^2 a)") == parse_poly(1, "b^2 - u^2 a^2")
+
+
+@pytest.mark.parametrize("data", [
+    {}, "x", None, 3,
+    [{"coords": [0, 0], "c": 1}],
+    [{"k": 0, "c": 1}],
+    [{"k": 0, "coords": [0, 0]}],
+    [[0, [0, 0], 1]],
+    [{"k": 0, "coords": [0], "c": 1}],
+    [{"k": 0, "coords": [0, 0, 0, 0], "c": 1}],
+    [{"k": "0", "coords": [0, 0], "c": 1}],
+    [{"k": 0, "coords": [0, 0], "c": 1.5}],
+    [{"k": 0, "coords": [0, "x"], "c": 1}],
+    [{"k": 0, "coords": 7, "c": 1}],
+    [{"k": True, "coords": [0, 0], "c": 1}],
+])
+def test_from_json_rejects_bad_shape(data):
+    with pytest.raises(ValueError, match="polynomial JSON"):
+        HeisPolynomial.from_json(1, data)
