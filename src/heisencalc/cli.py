@@ -180,8 +180,7 @@ def cmd_schrodinger(args):
 
 
 def cmd_verify(args):
-    checks = []
-    checks.extend(heis.verify_presentation(args.genus))
+    checks = heis.verify_presentation(args.genus)
     checks.extend(braid.verify_bellingeri(args.genus, args.strands))
     if args.all:
         left, right = repmatrix.braid_composites()
@@ -282,8 +281,9 @@ def build_parser():
     sp = sub.add_parser("schrodinger", help="finite representation matrices")
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--genus", type=int, default=1)
-    sp.add_argument("--element")
-    sp.add_argument("--weil", choices=["a", "b"])
+    mode = sp.add_mutually_exclusive_group()
+    mode.add_argument("--element")
+    mode.add_argument("--weil", choices=["a", "b"])
     sp.add_argument("--tol", type=tolerance, default=1e-10)
     sp.set_defaults(fn=cmd_schrodinger)
 

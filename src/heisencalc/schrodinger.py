@@ -1,4 +1,4 @@
-"""Finite Schrodinger representations and numerical Weil intertwiners.
+"""Finite Schrodinger representations and Weil intertwiners.
 
 The group acts unitarily on functions on (Z/N)^g: the element with central
 exponent k and coordinates p, q (p over the a generators, q over the b
@@ -6,20 +6,17 @@ generators) acts by
 
     [pi(h) psi](s) = exp(i pi (k + p.q) / N) exp(2 i pi q.s / N) psi(s + p).
 
-Everything here is floating point with explicit tolerances; the intertwiner
-for a symplectic automorphism is found as the null space of a stacked linear
-system and is checked to be one dimensional before use.  Dense arrays above
-MAX_DENSE_BYTES are refused before anything is allocated.
+So pi(h) is monomial; every matrix here is built from that form over int64
+arrays of states s, indexed row-major, and Weil intertwiners are averages
+over the finite group.  Arrays above MAX_DENSE_BYTES are refused up front.
 """
-
-import itertools
 
 import numpy as np
 
 from . import heis
 from .aut import HeisAutomorphism
 
-# The Weil system at N=7 g=2 (about 461 MB) fits; at N=8 g=2 (1.3 GB) it does not.
+# 512 MiB: Schrodinger matrices up to N^g = 5792, Weil up to N=39 g=2, N=11 g=3
 MAX_DENSE_BYTES = 2 ** 29
 
 
@@ -33,7 +30,18 @@ def _check_dense(N, g, power, count=1):
 
 
 def _states(N, g):
-    return list(itertools.product(range(N), repeat=g))
+    """The points of (Z/N)^g as the rows of an int64 array, in index order."""
+    return np.indices((N,) * g).reshape(g, -1).T
+
+
+def _monomial(N, k, p, q, s):
+    """Column and phase of the one nonzero entry in row s of pi(k; p, q).
+
+    The int64 arrays k (...,) and p, q, s (..., g) broadcast.  The column is
+    the state s + p mod N, the phase exp(i pi (k + p.q + 2 q.s) / N).
+    """
+    e = (k + (q * (p + 2 * s)).sum(-1)) % (2 * N)
+    return (s + p) % N, np.exp(1j * np.pi / N * e)
 
 
 def schrodinger_matrix(N, g, h):
@@ -46,17 +54,14 @@ def schrodinger_matrix(N, g, h):
     _check_dense(N, g, 2 * g)
     if h.genus != g:
         raise ValueError("genus mismatch")
-    p, q = h.coords[::2], h.coords[1::2]
-    states = _states(N, g)
-    index = {s: i for i, s in enumerate(states)}
-    dim = N ** g
-    M = np.zeros((dim, dim), dtype=complex)
-    central = np.exp(1j * np.pi * (h.k + sum(a * b for a, b in zip(p, q))) / N)
-    for i, s in enumerate(states):
-        phase = central * np.exp(2j * np.pi * sum(b * c for b, c in zip(q, s)) / N)
-        target = tuple((c + a) % N for c, a in zip(s, p))
-        M[i, index[target]] = phase
-    return M
+    # the phase depends on k, p, q mod 2N only; reducing first keeps int64 exact
+    x = np.array([c % (2 * N) for c in h.coords], dtype=np.int64)
+    s = _states(N, g)
+    col, phase = _monomial(N, h.k % (2 * N), x[::2], x[1::2], s)
+    # axes (row state, column state), reshaped row-major into indices
+    M = np.zeros((N,) * (2 * g), dtype=complex)
+    M[(*s.T, *col.T)] = phase
+    return M.reshape(N ** g, N ** g)
 
 
 def finite_lift(phi, N):
@@ -121,57 +126,52 @@ def verify_schrodinger_rep(N, g, tol=1e-10, rng=None):
     return report
 
 
-def _generator_pairs(N, g, phi):
-    """[(pi(h), pi(phi~ h))] over the generators h, with phi~ = finite_lift(phi, N)."""
-    lifted = finite_lift(phi, N)
-    return [(schrodinger_matrix(N, g, h), schrodinger_matrix(N, g, lifted.apply(h)))
-            for _, h in heis.generators(g)]
+def weil_intertwiner(N, g, phi):
+    """Unitary U with U pi(h) = pi(phi~ h) U for all h, phi~ = finite_lift(phi, N).
 
-
-def weil_intertwiner(N, g, phi, tol_null=1e-10, tol_gap=1e-6):
-    """Unitary U with U pi(h) = pi(phi(h)) U for all h, up to phase.
-
-    phi must have zero delta part (it must factor through the symplectic
-    group).  The intertwining conditions over the group generators stack
-    into one linear system on vec(U); the null space must be exactly one
-    dimensional, otherwise an ArithmeticError reports both tested singular
-    values.  The returned unitary is normalized so its first nonzero entry
-    (row-major scan) is real and positive.  The system has (2g+1) N^(4g)
-    entries; a ValueError refuses it above MAX_DENSE_BYTES.
+    phi must have zero delta part and genus g, else a ValueError.  By Schur's
+    lemma the sum T of pi(phi~(0, x)) E_0j pi(0, x)^-1 over x in (Z/N)^(2g) is
+    N^g conj(U0[0, j]) U0 for a unitary intertwiner U0.  Each term is one
+    entry (pi(h) is monomial), so a trial of j costs O(N^(2g)).  The first j
+    with T[0, j] != 0 is U0's first nonzero entry; U is T scaled to make it
+    real and positive.  A non-unitary U raises ArithmeticError; the working
+    arrays, (3g + 8) N^(2g) complex entries, are refused above MAX_DENSE_BYTES.
     """
     if any(phi.delta):
         raise ValueError("automorphism must have zero delta part")
     if phi.genus != g:
         raise ValueError("genus mismatch")
-    _check_dense(N, g, 4 * g, 2 * g + 1)
-    dim = N ** g
-    eye = np.eye(dim)
-    blocks = []
-    for A, B in _generator_pairs(N, g, phi):
-        # vec is row-major: vec(U A) = (I kron A^T) vec U, vec(B U) = (B kron I) vec U
-        blocks.append(np.kron(eye, A.T) - np.kron(B, eye))
-    system = np.vstack(blocks)
-    # only vh is read: the reduced SVD skips the left singular vectors
-    _, svals, vh = np.linalg.svd(system, full_matrices=False)
-    if svals[-1] > tol_null or svals[-2] < tol_gap:
-        raise ArithmeticError(
-            f"intertwiner space is not one dimensional "
-            f"(smallest singular values {svals[-1]:.3e}, {svals[-2]:.3e})")
-    U = vh[-1].conj().reshape(dim, dim)
-    # scale to a unitary (the null vector has unit Frobenius norm)
-    U = U * np.sqrt(dim)
-    flat = U.reshape(-1)
-    pivot = flat[np.abs(flat) > 1e-8][0]
-    U = U * (abs(pivot) / pivot)
-    if np.abs(U @ U.conj().T - np.eye(dim)).max() > 1e-8:
+    _check_dense(N, g, 2 * g, 3 * g + 8)
+    lifted = finite_lift(phi, N)
+    x = _states(N, 2 * g)
+    p, q = x[:, ::2], x[:, 1::2]
+    # phi~(0, x) = (delta.x, Sx); times E_0j it keeps column 0: row r = -(Sx)_a mod N
+    y = x @ np.array(lifted.S).T % (2 * N)
+    r = -y[:, ::2] % N
+    _, left = _monomial(N, x @ np.array(lifted.delta), y[:, ::2], y[:, 1::2], r)
+    for j, state in enumerate(_states(N, g)):
+        # E_0j pi(0, x)^-1 keeps column j of pi(0, x), conjugated: row c = j - p
+        c = (state - p) % N
+        T = np.zeros((N,) * (2 * g), dtype=complex)
+        np.add.at(T, (*r.T, *c.T), left * _monomial(N, 0, p, q, c)[1].conj())
+        T = T.reshape(N ** g, -1)
+        # T[0, j] = N^g |U0[0, j]|^2 is 0 or >= 1 (row 0 is flat on its support)
+        if T[0, j].real > 0.5:
+            break
+    else:
+        raise ArithmeticError("intertwiner average vanishes on row 0")
+    U = T / np.sqrt(N ** g * T[0, j].real)
+    if np.abs(U @ U.conj().T - np.eye(N ** g)).max() > 1e-8:
         raise ArithmeticError("normalized intertwiner is not unitary")
     return U
 
 
 def weil_residual(N, g, phi, U):
-    """Largest intertwining defect over the generators."""
+    """Largest defect of U pi(h) = pi(phi~ h) U over the generators h."""
+    lifted = finite_lift(phi, N)
     worst = 0.0
-    for A, B in _generator_pairs(N, g, phi):
+    for _, h in heis.generators(g):
+        A, B = schrodinger_matrix(N, g, h), schrodinger_matrix(N, g, lifted.apply(h))
         worst = max(worst, np.abs(U @ A - B @ U).max())
     return worst
 

@@ -149,6 +149,14 @@ def test_schrodinger_weil(capsys):
     assert len(json.loads(out)) == 3
 
 
+def test_schrodinger_element_excludes_weil(capsys):
+    # one mode per call: --weil is never silently dropped for --element
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["schrodinger", "--N", "3", "--element", "a1", "--weil", "b"])
+    assert exc.value.code == 2
+    assert "not allowed with argument --element" in capsys.readouterr().err
+
+
 def test_verify_all(capsys):
     code, out = run(capsys, "verify", "--all", "--genus", "2", "--strands", "3")
     assert code == 0

@@ -1,14 +1,29 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from heisencalc import aut, heis, schrodinger as sch
 from heisencalc.heis import HeisElement
+from tests_helpers import loop_schrodinger_matrix, svd_weil_intertwiner
 
 
 def sp_transvection(genus, kind, index=1):
     """Symplectic part of a standard twist, with no delta component."""
     t = aut.twist_aut(genus, kind, index)
     return aut.HeisAutomorphism(genus, (0,) * (2 * genus), t.S)
+
+
+def sp_word(genus, kinds):
+    """Composite of the standard twists along a1/b1, with no delta component."""
+    phi = aut.identity_aut(genus)
+    for kind in kinds:
+        phi = phi.compose(aut.twist_aut(genus, kind, 1))
+    return aut.HeisAutomorphism(genus, (0,) * (2 * genus), phi.S)
+
+
+WORDS = ["", "a", "b", "ab", "bab"]
 
 
 def test_central_element_is_scalar():
@@ -46,11 +61,22 @@ def test_dense_size_cap():
         sch.schrodinger_matrix(10 ** 6, 3, heis.u(3))
     with pytest.raises(ValueError, match="dense array"):
         sch.weil_intertwiner(10 ** 6, 3, aut.identity_aut(3))
-    with pytest.raises(ValueError, match="dense array"):
-        sch.weil_intertwiner(8, 2, aut.identity_aut(2))
-    # the budget admits the Weil systems at N=7 g=2 and N=3 g=3
+    # (3g + 8) N^(2g) entries: N=39 is admitted at g=2, N=40 is not, and it
+    # is refused before its working arrays exist
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="dense array"):
+            sch.weil_intertwiner(40, 2, aut.identity_aut(2))
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert 16 * 14 * 39 ** 4 <= sch.MAX_DENSE_BYTES < 16 * 14 * 40 ** 4
+    # MAX_DENSE_BYTES covers (2g+1) N^(4g) complex entries at N=7 g=2 and N=3 g=3
     assert 16 * 5 * 7 ** 8 <= sch.MAX_DENSE_BYTES
     assert 16 * 7 * 3 ** 12 <= sch.MAX_DENSE_BYTES
+    phi = sp_word(2, "ab")
+    U = sch.weil_intertwiner(8, 2, phi)
+    assert sch.weil_residual(8, 2, phi, U) <= 1e-10
 
 
 def test_rep_property_all_N():
@@ -94,6 +120,22 @@ def test_rep_property_random_pairs():
         lhs = sch.schrodinger_matrix(N, g, x) @ sch.schrodinger_matrix(N, g, y)
         rhs = sch.schrodinger_matrix(N, g, x * y)
         assert np.abs(lhs - rhs).max() < 1e-9
+
+
+def test_matrix_matches_loop_reference():
+    rng = np.random.default_rng(33)
+    for _ in range(200):
+        N = int(rng.integers(2, 8))
+        g = int(rng.integers(1, 4 if N <= 3 else 3))
+        h = HeisElement(g, int(rng.integers(-40, 41)),
+                        tuple(int(c) for c in rng.integers(-30, 31, 2 * g)))
+        assert np.abs(sch.schrodinger_matrix(N, g, h)
+                      - loop_schrodinger_matrix(N, g, h)).max() < 1e-9
+    # exponents past int64 are reduced exactly before any array is built
+    big = HeisElement(2, 7 + 6 * 10 ** 30, (3 + 3 * 10 ** 25, -4, 5, 2 - 6 * 10 ** 40))
+    small = HeisElement(2, 7, (3, -4, 5, 2))
+    assert np.abs(sch.schrodinger_matrix(3, 2, big)
+                  - sch.schrodinger_matrix(3, 2, small)).max() < 1e-12
 
 
 def test_depends_on_word_form_reduction():
@@ -155,3 +197,57 @@ def test_matrix_json():
     data = sch.matrix_to_json(U)
     assert len(data) == 2 and len(data[0]) == 2
     assert abs(data[0][0][0] - np.cos(np.pi / 2)) < 1e-12
+
+
+@pytest.mark.parametrize("N, g, words", [
+    *[(N, 1, WORDS) for N in (2, 3, 4, 5, 6, 7, 11, 13)],
+    *[(N, 2, WORDS) for N in (2, 3, 4)],
+    (5, 2, ["ab"]),
+])
+def test_weil_matches_svd_reference(N, g, words):
+    for word in words:
+        phi = sp_word(g, word)
+        U = sch.weil_intertwiner(N, g, phi)
+        assert np.abs(U - svd_weil_intertwiner(N, g, phi)).max() <= 1e-9, word
+
+
+@pytest.mark.parametrize("N, g", [(7, 2), (3, 3)])
+def test_weil_intertwines_random_elements(N, g):
+    phi = sp_word(g, "ab")
+    lifted = sch.finite_lift(phi, N)
+    U = sch.weil_intertwiner(N, g, phi)
+    assert np.abs(U @ U.conj().T - np.eye(N ** g)).max() < 1e-10
+    assert sch.weil_residual(N, g, phi, U) <= 1e-10
+    rng = np.random.default_rng(N * 10 + g)
+    for _ in range(50):
+        h = HeisElement(g, int(rng.integers(-20, 21)),
+                        tuple(int(c) for c in rng.integers(-9, 10, 2 * g)))
+        lhs = U @ sch.schrodinger_matrix(N, g, h)
+        rhs = sch.schrodinger_matrix(N, g, lifted.apply(h)) @ U
+        assert np.abs(lhs - rhs).max() < 1e-10
+
+
+def test_weil_time():
+    phi = sp_word(2, "ab")
+    sch.weil_intertwiner(7, 2, phi)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        sch.weil_intertwiner(7, 2, phi)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.1
+
+
+def test_weil_memory():
+    # a (2g+1) N^(2g) x N^(2g) system at N=7 g=2 would be about 461 MB
+    tracemalloc.start()
+    try:
+        sch.weil_intertwiner(7, 2, sp_word(2, "ab"))
+        assert tracemalloc.get_traced_memory()[1] < 64 * 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_cocycle_genus2():
+    lam = sch.weil_cocycle(3, 2, sp_word(2, "a"), sp_word(2, "b"))
+    assert abs(abs(lam) - 1) < 1e-10
