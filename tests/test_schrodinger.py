@@ -9,14 +9,8 @@ from heisencalc.heis import HeisElement
 from tests_helpers import loop_schrodinger_matrix, svd_weil_intertwiner
 
 
-def sp_transvection(genus, kind, index=1):
-    """Symplectic part of a standard twist, with no delta component."""
-    t = aut.twist_aut(genus, kind, index)
-    return aut.HeisAutomorphism(genus, (0,) * (2 * genus), t.S)
-
-
 def sp_word(genus, kinds):
-    """Composite of the standard twists along a1/b1, with no delta component."""
+    """Symplectic part of a composite of the standard twists along a1/b1."""
     phi = aut.identity_aut(genus)
     for kind in kinds:
         phi = phi.compose(aut.twist_aut(genus, kind, 1))
@@ -166,7 +160,7 @@ def test_weil_rejects_delta():
 def test_weil_transvections():
     for N in (3, 4, 5):
         for kind in ("a", "b"):
-            phi = sp_transvection(1, kind)
+            phi = sp_word(1, kind)
             U = sch.weil_intertwiner(N, 1, phi)
             assert sch.weil_residual(N, 1, phi, U) < 1e-10
             assert np.abs(U @ U.conj().T - np.eye(N)).max() < 1e-10
@@ -176,14 +170,14 @@ def test_weil_transvections():
 
 
 def test_weil_genus2():
-    phi = sp_transvection(2, "a", 1)
+    phi = sp_word(2, "a")
     U = sch.weil_intertwiner(3, 2, phi)
     assert sch.weil_residual(3, 2, phi, U) < 1e-10
 
 
 def test_cocycle():
-    phi_a = sp_transvection(1, "a")
-    phi_b = sp_transvection(1, "b")
+    phi_a = sp_word(1, "a")
+    phi_b = sp_word(1, "b")
     for N in (3, 4, 5):
         lam = sch.weil_cocycle(N, 1, phi_a, phi_b)
         assert abs(abs(lam) - 1) < 1e-10
