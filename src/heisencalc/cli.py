@@ -35,8 +35,7 @@ def _emit_poly(p, fmt):
 def _emit_specialized(p, name, fmt):
     s = ring.specialize(p, ring.quotient(name))
     if fmt == "json":
-        print(json.dumps([[list(k) if isinstance(k, tuple) else k, c]
-                          for k, c in s.terms]))
+        print(json.dumps(s.terms))
     else:
         print(str(s))
 
@@ -90,9 +89,9 @@ def cmd_mul(args):
 def cmd_aut(args):
     if args.twist:
         phi = aut.twist_aut(args.genus, args.twist, args.index)
-    elif args.inner:
+    elif args.inner is not None:
         phi = aut.inner_of(heis.parse_element(args.genus, args.inner))
-    elif args.witness:
+    else:
         phi = aut.HeisAutomorphism.from_json(json.loads(args.witness))
         h = aut.inner_witness(phi)
         if h is None:
@@ -101,8 +100,6 @@ def cmd_aut(args):
         print(h.word_str() if args.fmt != "json"
               else json.dumps({"word": h.word_str(), "pair": h.pair_str()}))
         return 0
-    else:
-        raise ValueError("need one of --twist, --inner, --witness")
     if args.inverse:
         phi = phi.inverse()
     print(json.dumps(phi.to_json()))
@@ -115,10 +112,8 @@ def cmd_morita(args):
         return 0
     if args.bounding_pair:
         table = aut.bounding_pair_table(args.genus)
-    elif args.twist:
-        table = aut.twist_pi1_table(args.genus, args.twist, args.index)
     else:
-        raise ValueError("need --bounding-pair, --twist or --d")
+        table = aut.twist_pi1_table(args.genus, args.twist, args.index)
     phi = aut.morita_crossed_hom(args.genus, table)
     print(json.dumps(phi.to_json()))
     return 0
@@ -230,20 +225,22 @@ def build_parser():
 
     sp = sub.add_parser("aut", help="automorphisms: twists, inner, witnesses")
     sp.add_argument("--genus", type=int, default=1)
-    sp.add_argument("--twist", choices=["a", "b"])
+    mode = sp.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--twist", choices=["a", "b"])
+    mode.add_argument("--inner")
+    mode.add_argument("--witness")
     sp.add_argument("--index", type=int, default=1)
-    sp.add_argument("--inner")
-    sp.add_argument("--witness")
     sp.add_argument("--inverse", action="store_true")
     _add_format_flags(sp)
     sp.set_defaults(fn=cmd_aut)
 
     sp = sub.add_parser("morita", help="crossed homomorphism from a pi_1 action")
     sp.add_argument("--genus", type=int, default=2)
-    sp.add_argument("--bounding-pair", action="store_true")
-    sp.add_argument("--twist", choices=["a", "b"])
+    mode = sp.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--bounding-pair", action="store_true")
+    mode.add_argument("--twist", choices=["a", "b"])
+    mode.add_argument("--d", type=int)
     sp.add_argument("--index", type=int, default=1)
-    sp.add_argument("--d", type=int)
     sp.add_argument("--word", default="")
     sp.set_defaults(fn=cmd_morita)
 

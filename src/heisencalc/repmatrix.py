@@ -84,20 +84,21 @@ def identity_matrix(genus, size, source_twist=None):
 
 
 def mat_mul(A, B):
-    """Plain matrix product of the underlying entry arrays."""
+    """Matrix product of the underlying entry arrays, over nonzero entries
+    only: each row of B is listed once as its nonzero (j, b), and each
+    nonzero A[i][k] adds a * b into entry j of row i."""
     if A.cols != B.rows:
         raise ValueError("dimension mismatch")
     if A.genus != B.genus:
         raise ValueError("genus mismatch")
-    zero = HeisPolynomial.zero(A.genus)
+    b_rows = [[(j, b) for j, b in enumerate(row) if not b.is_zero()] for row in B.entries]
     entries = []
-    for i in range(A.rows):
-        row = []
-        for j in range(B.cols):
-            acc = zero
-            for k in range(A.cols):
-                acc = acc + A.entries[i][k] * B.entries[k][j]
-            row.append(acc)
+    for a_row in A.entries:
+        row = [HeisPolynomial.zero(A.genus)] * B.cols
+        for a, b_row in zip(a_row, b_rows):
+            if not a.is_zero():
+                for j, b in b_row:
+                    row[j] = row[j] + a * b
         entries.append(tuple(row))
     return tuple(entries)
 
@@ -105,7 +106,7 @@ def mat_mul(A, B):
 def shift_matrix(M, tau):
     """Precompose the source action with tau: applies tau^-1 entrywise."""
     inv = tau.inverse()
-    entries = tuple(tuple(ring.aut_apply_poly(inv, p) for p in row)
+    entries = tuple(tuple(p if p.is_zero() else ring.aut_apply_poly(inv, p) for p in row)
                     for row in M.entries)
     return RepMatrix(M.genus, entries, M.source_twist.compose(tau))
 
@@ -136,12 +137,11 @@ def matrix_inverse_entries(M):
     for col in range(n):
         pivot = None
         for row in range(col, n):
-            p = work[row][col]
-            if len(p.terms) == 1:
-                (elem, coeff), = p.terms.items()
-                if coeff in (1, -1):
-                    pivot = (row, coeff, elem)
-                    break
+            terms = [(k, x, c) for x, f in work[row][col].fibres.items() for k, c in f.items()]
+            if len(terms) == 1 and terms[0][2] in (1, -1):
+                k, x, coeff = terms[0]
+                pivot = (row, coeff, HeisElement(g, k, x))
+                break
         if pivot is None:
             raise ValueError(f"no unit pivot in column {col}")
         prow, coeff, elem = pivot
@@ -178,13 +178,8 @@ def specialize_matrix(M, target, order=0):
 
 
 def is_specialized_identity(rows):
-    for i, row in enumerate(rows):
-        for j, p in enumerate(row):
-            if i == j and not p.is_one():
-                return False
-            if i != j and not p.is_zero():
-                return False
-    return True
+    return all(p.is_one() if i == j else p.is_zero()
+               for i, row in enumerate(rows) for j, p in enumerate(row))
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +293,7 @@ def embed_poly(p, genus):
     if p.genus != 1:
         raise ValueError("can only embed genus-1 polynomials")
     pad = (0,) * (2 * genus - 2)
-    terms = [(HeisElement(genus, e.k, e.coords + pad), c)
-             for e, c in p.terms.items()]
-    return HeisPolynomial(genus, terms)
+    return HeisPolynomial._of(genus, {x + pad: f for x, f in p.fibres.items()})
 
 
 def matrix_separating_twist(g):

@@ -1,13 +1,12 @@
 """Sparse exact arithmetic in the integral group ring of the Heisenberg group.
 
-A polynomial is a finite map from group elements to nonzero integer
-coefficients.  Multiplication works per coordinate fibre: the terms of each
-operand are grouped by their H_1 coordinates, and for each pair of fibres the
-u-exponents convolve as plain integers, shifted by omega of the pair; all
-coefficients and exponents are arbitrary-precision.  The module also provides
-the three specialization homomorphisms (to Z[u]/(u^2-1), to the commutative
-Laurent ring, and to the central N-torsion quotient) and the entrywise action
-of Heisenberg automorphisms.
+A polynomial is stored as its coordinate fibres {coords: {k: nonzero int}}.
+One kernel, _fibre_mul, multiplies in the group ring and in its quotients:
+omega and the coordinate sum are computed once per pair of fibres, and the
+u-exponents convolve as plain (arbitrary-precision) integers.  The module
+also provides the three specialization homomorphisms (to Z[u]/(u^2-1), to
+the commutative Laurent ring, and to the central N-torsion quotient) and the
+entrywise action of Heisenberg automorphisms.
 """
 
 from dataclasses import dataclass, field
@@ -18,27 +17,62 @@ from . import heis
 from .heis import HeisElement
 
 
-def _add_terms(terms, pairs):
-    """Add each (key, coeff) of pairs into the dict terms, dropping zeros."""
-    for key, coeff in pairs:
-        new = terms.get(key, 0) + coeff
-        if new:
-            terms[key] = new
-        else:
-            terms.pop(key, None)
-    return terms
+def _pruned(fibres, modulus=0):
+    """New fibres with each k reduced mod a nonzero modulus, and no zeros."""
+    out = {}
+    for x, f in fibres.items():
+        if modulus:
+            reduced = {}
+            for k, c in f.items():
+                reduced[k % modulus] = reduced.get(k % modulus, 0) + c
+            f = reduced
+        f = {k: c for k, c in f.items() if c}
+        if f:
+            out[x] = f
+    return out
 
 
-def _fibres(terms):
-    """Group {HeisElement: coeff} by coordinate fibre: {coords: {k: coeff}}."""
+def _collect(pairs):
+    """Fibres of the sum of ((coords, k), coeff) pairs."""
     fibres = {}
-    for e, c in terms.items():
-        fibres.setdefault(e.coords, {})[e.k] = c
-    return fibres
+    for (x, k), c in pairs:
+        f = fibres.setdefault(x, {})
+        f[k] = f.get(k, 0) + c
+    return _pruned(fibres)
 
 
-def _add_coords(x, y):
-    return tuple(map(operator.add, x, y))
+def _add_fibres(left, right):
+    """Fibres of a sum.  Stored fibres are never written: a fibre that both
+    operands have is rebuilt, any other is shared."""
+    out = dict(left)
+    for x, fy in right.items():
+        if x in out:
+            fx = dict(out.pop(x))
+            for k, c in fy.items():
+                fx[k] = fx.get(k, 0) + c
+            fy = {k: c for k, c in fx.items() if c}
+        if fy:
+            out[x] = fy
+    return out
+
+
+def _fibre_mul(left, right, twisted=True, modulus=0):
+    """Fibres of the product: (k, x)(l, y) = (k + l + omega(x, y), x + y),
+    without omega unless twisted, then every k reduced mod a nonzero modulus.
+    omega and x + y are computed once per pair of fibres."""
+    out = {}
+    right = [(y, list(fy.items())) for y, fy in right.items()]
+    for x, fx in left.items():
+        for y, fy in right:
+            w = heis.omega(x, y) if twisted else 0
+            if modulus:  # fewer distinct k + l + w to fold in _pruned
+                w %= modulus
+            acc = out.setdefault(tuple(map(operator.add, x, y)), {})
+            for k, c in fx.items():
+                k += w
+                for l, d in fy:
+                    acc[k + l] = acc.get(k + l, 0) + c * d
+    return _pruned(out, modulus)
 
 
 def format_sum(pairs, latex=False):
@@ -58,18 +92,28 @@ def format_sum(pairs, latex=False):
 
 
 class HeisPolynomial:
-    """Element of the group ring, held as {HeisElement: nonzero int}."""
+    """Element of the group ring, stored as fibres {coords: {k: nonzero int}}
+    that are shared between polynomials and never written after construction.
+    terms is the {HeisElement: coeff} view, built on each access."""
 
-    __slots__ = ("genus", "terms")
+    __slots__ = ("genus", "fibres")
 
     def __init__(self, genus, terms=None):
-        self.genus = genus
-        self.terms = {}
-        if terms:
-            pairs = terms.items() if isinstance(terms, dict) else list(terms)
-            if any(elem.genus != genus for elem, _ in pairs):
-                raise ValueError("genus mismatch")
-            _add_terms(self.terms, pairs)
+        pairs = terms.items() if isinstance(terms, dict) else list(terms or ())
+        if any(elem.genus != genus for elem, _ in pairs):
+            raise ValueError("genus mismatch")
+        self.genus, self.fibres = genus, _collect(((e.coords, e.k), c) for e, c in pairs)
+
+    @property
+    def terms(self):
+        return {HeisElement(self.genus, k, x): c
+                for x, f in self.fibres.items() for k, c in f.items()}
+
+    @classmethod
+    def _of(cls, genus, fibres):
+        out = cls.__new__(cls)
+        out.genus, out.fibres = genus, fibres
+        return out
 
     @classmethod
     def zero(cls, genus):
@@ -91,64 +135,44 @@ class HeisPolynomial:
 
     def __add__(self, other):
         self._check(other)
-        out = HeisPolynomial(self.genus)
-        out.terms = _add_terms(dict(self.terms), other.terms.items())
-        return out
+        return self._of(self.genus, _add_fibres(self.fibres, other.fibres))
 
     def __neg__(self):
-        out = HeisPolynomial(self.genus)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return self._of(self.genus, {x: {k: -c for k, c in f.items()}
+                                     for x, f in self.fibres.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            out = HeisPolynomial(self.genus)
-            if other:
-                out.terms = {e: c * other for e, c in self.terms.items()}
-            return out
+            return self._of(self.genus, {x: {k: c * other for k, c in f.items()}
+                                         for x, f in self.fibres.items()} if other else {})
         if isinstance(other, HeisElement):
             other = HeisPolynomial.monomial(other)
         self._check(other)
-        # (k, x)(l, y) = (k + l + omega(x, y), x + y): omega and x + y are
-        # computed once per pair of fibres, the u-exponents convolve as ints
-        out_fibres = {}
-        right = [(y, list(fy.items())) for y, fy in _fibres(other.terms).items()]
-        for x, fx in _fibres(self.terms).items():
-            for y, fy in right:
-                w = heis.omega(x, y)
-                acc = out_fibres.setdefault(_add_coords(x, y), {})
-                for k, c in fx.items():
-                    k += w
-                    for l, d in fy:
-                        acc[k + l] = acc.get(k + l, 0) + c * d
-        out = HeisPolynomial(self.genus)
-        out.terms = {HeisElement(self.genus, k, z): c
-                     for z, acc in out_fibres.items() for k, c in acc.items() if c}
-        return out
+        return self._of(self.genus, _fibre_mul(self.fibres, other.fibres))
 
     def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        if isinstance(other, HeisElement):
-            return HeisPolynomial.monomial(other) * self
-        return NotImplemented
+        return self * other if isinstance(other, int) else NotImplemented
 
     def __eq__(self, other):
         return (isinstance(other, HeisPolynomial)
-                and self.genus == other.genus and self.terms == other.terms)
+                and self.genus == other.genus and self.fibres == other.fibres)
 
     def __hash__(self):
-        return hash((self.genus, frozenset(self.terms.items())))
+        return hash((self.genus, frozenset((x, frozenset(f.items()))
+                                           for x, f in self.fibres.items())))
 
     def is_zero(self):
-        return not self.terms
+        return not self.fibres
 
     def sorted_terms(self):
         """Terms in the canonical order: lexicographic on (k, coords)."""
-        return sorted(self.terms.items(), key=lambda item: item[0].sort_key())
+        if not self.fibres:  # most entries of a large twist matrix
+            return []
+        return [(HeisElement(self.genus, k, x), c) for k, x, c in
+                sorted((k, x, c) for x, f in self.fibres.items() for k, c in f.items())]
 
     def __str__(self):
         return format_sum(self.sorted_terms())
@@ -157,8 +181,7 @@ class HeisPolynomial:
         return f"HeisPolynomial({self})"
 
     def to_json(self):
-        return [{"k": e.k, "coords": list(e.coords), "c": c}
-                for e, c in self.sorted_terms()]
+        return [{"k": e.k, "coords": list(e.coords), "c": c} for e, c in self.sorted_terms()]
 
     @classmethod
     def from_json(cls, genus, data):
@@ -287,34 +310,32 @@ def parse_poly(genus, text):
 
 @dataclass(frozen=True)
 class Quotient:
-    """A quotient ring of the group ring, named as on the command line.
-
-    'moriyama' is Z[u]/(u^2-1), keyed by the word-form u-exponent mod 2.
-    'abelian' is the commutative Laurent ring (u -> 1), keyed by coords.
-    'torsion<N>' is the group ring of the central quotient by u^N, keyed by
-    (k mod N, coords) with k the pair-form exponent.
-
-    keys maps a {HeisElement: coeff} dict to its (key, coeff) pairs, key_mul
-    multiplies two keys, and lift(genus, key) is a group element with that
-    key, which is what a specialized sum prints.
+    """A quotient ring of the group ring, named as on the command line, as
+    kernel parameters and a map of terms.  'torsion<N>' (modulo u^N) places
+    (k, x) at (x, k mod N), twisted, modulus N; 'moriyama' (Z[u]/(u^2-1)) at
+    ((), k - quadratic(x) mod 2), the word-form exponent, untwisted, modulus
+    2; 'abelian' (u -> 1) at (x, 0), untwisted.  place(coords, k) is the
+    placed (coords, k), key(coords, k) its printed and sorted key, and
+    lift(genus, key) a group element with that key, which a sum prints.
     """
     name: str
-    order: int  # N for torsion, else 0
-    keys: object = field(compare=False, repr=False)
-    key_mul: object = field(compare=False, repr=False)
+    modulus: int
+    twisted: bool
+    place: object = field(compare=False, repr=False)
+    key: object = field(compare=False, repr=False)
     lift: object = field(compare=False, repr=False)
 
 
 MORIYAMA = Quotient(
-    "moriyama", 0,
-    lambda terms: [((e.k - heis.quadratic(e.coords)) % 2, c) for e, c in terms.items()],
-    lambda x, y: (x + y) % 2,
+    "moriyama", 2, False,
+    lambda x, k: ((), (k - heis.quadratic(x)) % 2),
+    lambda x, k: k,
     lambda genus, key: HeisElement(genus, key, (0,) * (2 * genus)))
 
 ABELIAN = Quotient(
-    "abelian", 0,
-    lambda terms: [(e.coords, c) for e, c in terms.items()],
-    _add_coords,
+    "abelian", 0, False,
+    lambda x, k: (x, 0),
+    lambda x, k: x,
     lambda genus, key: HeisElement(genus, heis.quadratic(key), key))
 
 
@@ -328,12 +349,8 @@ def torsion(N):
         q = heis.quadratic(key[1])
         return HeisElement(genus, q + (key[0] - q) % N, key[1])
 
-    return Quotient(
-        f"torsion{N}", N,
-        lambda terms: [((e.k % N, e.coords), c) for e, c in terms.items()],
-        lambda x, y: ((x[0] + y[0] + heis.omega(x[1], y[1])) % N,
-                      _add_coords(x[1], y[1])),
-        lift)
+    return Quotient(f"torsion{N}", N, True, lambda x, k: (x, k % N),
+                    lambda x, k: (k, x), lift)
 
 
 def quotient(name, order=0):
@@ -350,39 +367,40 @@ def quotient(name, order=0):
 
 @dataclass(frozen=True)
 class SpecializedPolynomial:
-    """Image of a group-ring element in a Quotient.
-
-    terms is a sorted tuple of (key, coeff), keys as described on Quotient.
-    """
+    """Image of a group-ring element in a Quotient, stored as the fibres of
+    its placed terms; terms is the sorted tuple of (key, coeff), built on
+    each access."""
     quotient: Quotient
     genus: int
-    terms: tuple
+    fibres: dict
 
-    @classmethod
-    def _build(cls, q, genus, pairs):
-        return cls(q, genus, tuple(sorted(_add_terms({}, pairs).items())))
+    @property
+    def terms(self):
+        key = self.quotient.key
+        return tuple(sorted((key(x, k), c) for x, f in self.fibres.items() for k, c in f.items()))
 
-    def _check(self, other):
+    def __hash__(self):
+        return hash((self.quotient, self.genus, self.terms))
+
+    def _target(self, other):
         if (self.quotient, self.genus) != (other.quotient, other.genus):
             raise ValueError("specialization target mismatch")
+        return self.quotient
 
     def __add__(self, other):
-        self._check(other)
-        return SpecializedPolynomial._build(self.quotient, self.genus,
-                                            self.terms + other.terms)
+        return SpecializedPolynomial(self._target(other), self.genus,
+                                     _add_fibres(self.fibres, other.fibres))
 
     def __mul__(self, other):
-        self._check(other)
-        mul = self.quotient.key_mul
-        return SpecializedPolynomial._build(
-            self.quotient, self.genus,
-            [(mul(k1, k2), c1 * c2) for k1, c1 in self.terms for k2, c2 in other.terms])
+        q = self._target(other)
+        return SpecializedPolynomial(q, self.genus, _fibre_mul(
+            self.fibres, other.fibres, q.twisted, q.modulus))
 
     def is_one(self):
-        return self.terms == tuple(self.quotient.keys({heis.identity(self.genus): 1}))
+        return self == specialize(HeisPolynomial.one(self.genus), self.quotient)
 
     def is_zero(self):
-        return not self.terms
+        return not self.fibres
 
     def __str__(self):
         lift = self.quotient.lift
@@ -391,7 +409,8 @@ class SpecializedPolynomial:
 
 def specialize(p, q):
     """Image of the group-ring element p in the Quotient q."""
-    return SpecializedPolynomial._build(q, p.genus, q.keys(p.terms))
+    return SpecializedPolynomial(q, p.genus, _collect(
+        (q.place(x, k), c) for x, f in p.fibres.items() for k, c in f.items()))
 
 
 def specialize_moriyama(p):
@@ -414,20 +433,12 @@ def specialize_torsion(p, N):
 
 
 def aut_apply_poly(tau, p):
-    """Apply an automorphism to every group element of a polynomial.
-
-    tau(k, x) = (k + delta(x), Sx), so tau is applied to one term per
-    coordinate fibre x and the other terms of the fibre move by the same
-    delta(x).  tau is a bijection, so no two terms merge.
-    """
-    out = HeisPolynomial(p.genus)
-    moves = {}  # x -> (delta(x), Sx)
-    for e, c in p.terms.items():
-        move = moves.get(e.coords)
-        if move is None:
-            image = tau.apply(e)
-            moves[e.coords] = image.k - e.k, image.coords
-        else:
-            image = HeisElement(p.genus, e.k + move[0], move[1])
-        out.terms[image] = c
-    return out
+    """Apply an automorphism to every group element of a polynomial:
+    tau(k, x) = (k + delta(x), Sx) is applied once per coordinate fibre, to
+    (0, x), and every k of the fibre moves by delta(x).  tau is a bijection,
+    so no two fibres merge."""
+    out = {}
+    for x, f in p.fibres.items():
+        image = tau.apply(HeisElement(p.genus, 0, x))
+        out[image.coords] = {k + image.k: c for k, c in f.items()}
+    return HeisPolynomial._of(p.genus, out)

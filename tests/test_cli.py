@@ -173,6 +173,21 @@ def test_aut_and_morita(capsys):
     assert json.loads(out)["delta"] == [2, 0, 0, 0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["aut", "--twist", "a", "--inner", "b"], ["aut", "--inner", "a", "--witness", "{}"],
+    ["aut", "--twist", "b", "--witness", "{}"], ["aut"], ["aut", "--inverse"],
+    ["morita", "--d", "1", "--bounding-pair", "--twist", "a"],
+    ["morita", "--d", "1", "--twist", "a"], ["morita", "--bounding-pair", "--twist", "b"],
+    ["morita", "--d", "0", "--bounding-pair"], ["morita"], ["morita", "--word", "a1"],
+])
+def test_aut_and_morita_modes_exclusive_and_required(capsys, argv):
+    # two modes, or none, are usage errors: no mode is silently dropped
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_aut_witness(capsys):
     twist = json.dumps({"delta": [2, 0], "S": [[1, 0], [0, 1]]})
     code, out = run(capsys, "aut", "--witness", twist, "--plain")

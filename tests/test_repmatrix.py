@@ -1,12 +1,13 @@
 import math
 import random
+import time
 
 import pytest
 
 from heisencalc import aut, heis, repmatrix as rm, ring
 from heisencalc.heis import HeisElement
 from heisencalc.ring import HeisPolynomial, parse_poly
-from tests_helpers import random_monomial_matrix, random_twist_aut
+from tests_helpers import dense_mat_mul, random_monomial_matrix, random_twist_aut
 
 
 def test_basis_enumerate_genus1():
@@ -129,6 +130,44 @@ def test_separating_twist_genus3_moriyama():
     M = rm.matrix_separating_twist(3)
     assert (M.rows, M.cols) == (21, 21)
     assert rm.is_specialized_identity(rm.specialize_matrix(M, "moriyama"))
+
+
+def test_separating_square_matches_dense_product():
+    for g in (2, 3):
+        S = rm.matrix_separating_twist(g)
+        shifted = [[ring.aut_apply_poly(S.source_twist.inverse(), p) for p in row]
+                   for row in S.entries]
+        reference = dense_mat_mul(S, rm.RepMatrix(g, tuple(map(tuple, shifted)),
+                                                  aut.identity_aut(g)))
+        assert rm.compose_twisted(S, S).entries == reference
+
+
+def test_separating_square_genus8_time():
+    S = rm.matrix_separating_twist(8)
+    t0 = time.perf_counter()
+    square = rm.compose_twisted(S, S)
+    assert time.perf_counter() - t0 < 3.0
+    assert rm.is_specialized_identity(rm.specialize_matrix(square, "moriyama"))
+
+
+def test_mat_mul_rectangular_with_zero_rows_and_columns():
+    rng = random.Random(23)
+    zero = HeisPolynomial.zero(2)
+    for _ in range(20):
+        A = [list(row) for row in random_monomial_matrix(rng, 2, 4).entries[:3]]
+        B = [list(row) for row in random_monomial_matrix(rng, 2, 5).entries[:4]]
+        A[rng.randrange(3)] = [zero] * 4  # a zero row of A
+        for row in A:
+            row[1] = zero  # a zero column of A
+        B[rng.randrange(4)] = [zero] * 5  # a zero row of B
+        column = rng.randrange(5)
+        for row in B:
+            row[column] = zero  # a zero column of B
+        A = rm.RepMatrix(2, tuple(map(tuple, A)), aut.identity_aut(2))
+        B = rm.RepMatrix(2, tuple(map(tuple, B)), aut.identity_aut(2))
+        product = rm.mat_mul(A, B)
+        assert (len(product), len(product[0])) == (3, 5)
+        assert product == dense_mat_mul(A, B)
 
 
 def test_shift_functoriality():

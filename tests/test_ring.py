@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from heisencalc import heis, ring
 from heisencalc.heis import HeisElement
 from heisencalc.ring import HeisPolynomial, parse_poly
-from tests_helpers import random_twist_aut
+from tests_helpers import (random_twist_aut, reference_quotient, reference_spec_add,
+                           reference_spec_mul, reference_specialize)
 
 
 def random_poly(rng, genus, nterms=3, span=4):
@@ -244,6 +245,68 @@ def test_aut_apply_poly_is_ring_hom_by_shape(case, rng):
     assert image(p + q) == image(p) + image(q)
     assert image(HeisPolynomial.one(genus)) == HeisPolynomial.one(genus)
     assert image(p).terms == {tau.apply(e): c for e, c in p.terms.items()}
+
+
+def _stored_canonically(p):
+    """No stored fibre is empty and no stored coefficient is 0."""
+    return all(f and all(f.values()) for f in p.fibres.values())
+
+
+@given(genus_and_polys, st.randoms(use_true_random=False), st.integers(-3, 3))
+@settings(max_examples=100, deadline=None)
+def test_fibre_storage_invariants(case, rng, n):
+    genus, (p, q, _) = case
+    tau = random_twist_aut(rng, genus)
+    elem = HeisElement(genus, rng.randint(-5, 5),
+                       tuple(rng.randint(-2, 2) for _ in range(2 * genus)))
+    image = lambda x: ring.aut_apply_poly(tau, x)
+    for x in (p + q, p - q, p - p, p + (-p), -p, p * n, p * 0, p * elem, n * p,
+              p * q, p * q - q * p, p * q + (-p) * q, image(p), image(p - p)):
+        assert _stored_canonically(x)
+    # terms is a fresh dict on every access
+    before = p.terms
+    view = p.terms
+    view[heis.u(genus, 99)] = 5
+    for e in before:
+        view[e] = 0
+    assert p.terms == before and p == HeisPolynomial(genus, before)
+    # the same value built in different orders
+    pairs = list(p.terms.items()) + list(q.terms.items())
+    a, b = HeisPolynomial(genus, pairs), HeisPolynomial(genus, pairs[::-1])
+    assert a == b == p + q == q + p
+    assert hash(a) == hash(b) == hash(p + q) == hash(q + p)
+
+
+quotients = (st.sampled_from([("moriyama", 0), ("abelian", 0)])
+             | st.tuples(st.just("torsion"), st.integers(1, 7)))
+
+
+@given(genus_and_polys, quotients)
+@settings(max_examples=200, deadline=None)
+def test_specialized_kernel_matches_per_pair_reference(case, quot):
+    """SpecializedPolynomial's fibre kernel against one key product per pair
+    of terms, on both data shapes, at genus 1-3, in every quotient."""
+    genus, (p, q, r) = case
+    name, N = quot
+    Q = ring.quotient(name, N)
+    zero = HeisPolynomial.zero(genus)
+    one_key = reference_specialize(HeisPolynomial.one(genus), name, N)
+    for x, y in ((p, q), (q, p), (p, r), (p, p), (p, zero), (zero, q), (p, -p), (p, q - q)):
+        sx, sy = ring.specialize(x, Q), ring.specialize(y, Q)
+        rx, ry = reference_specialize(x, name, N), reference_specialize(y, name, N)
+        for s, ref in ((sx, rx), (sx * sy, reference_spec_mul(rx, ry, name, N)),
+                       (sx + sy, reference_spec_add(rx, ry))):
+            # terms is sorted by key, and equal to the reference
+            assert s.terms == tuple(sorted(ref.items()))
+            assert s.is_zero() == (not ref)
+            assert s.is_one() == (ref == one_key)
+            assert all(f and all(f.values()) for f in s.fibres.values())
+        # the same values built another way: equal, with equal hashes
+        for s, t in ((sx * sy, ring.specialize(x * y, Q)), (sx + sy, sy + sx)):
+            assert s == t and hash(s) == hash(t)
+    # full cancellation
+    sp, sq = ring.specialize(p, Q), ring.specialize(q, Q)
+    assert (sp * sq + ring.specialize(-p, Q) * sq).is_zero()
 
 
 def test_mul_cancellation_examples():

@@ -1,6 +1,7 @@
 """Shared random generators and reference oracles for the test suite."""
 
 import itertools
+import operator
 
 import numpy as np
 
@@ -72,3 +73,60 @@ def svd_weil_intertwiner(N, g, phi):
     flat = U.reshape(-1)
     pivot = flat[np.abs(flat) > 1e-8][0]
     return U * (abs(pivot) / pivot)
+
+
+def dense_mat_mul(A, B):
+    """Reference matrix product: every (i, j, k), zero entries included."""
+    zero = HeisPolynomial.zero(A.genus)
+    entries = []
+    for i in range(A.rows):
+        row = []
+        for j in range(B.cols):
+            acc = zero
+            for k in range(A.cols):
+                acc = acc + A.entries[i][k] * B.entries[k][j]
+            row.append(acc)
+        entries.append(tuple(row))
+    return tuple(entries)
+
+
+def _add_coords(x, y):
+    return tuple(map(operator.add, x, y))
+
+
+def reference_quotient(name, N=0):
+    """Reference quotient ring 'moriyama', 'abelian' or 'torsion' (with N), one
+    key per term and one key product per pair of terms: (key of a group
+    element, product of two keys)."""
+    if name == "moriyama":
+        return (lambda e: (e.k - heis.quadratic(e.coords)) % 2,
+                lambda x, y: (x + y) % 2)
+    if name == "abelian":
+        return lambda e: e.coords, _add_coords
+    return (lambda e: (e.k % N, e.coords),
+            lambda x, y: ((x[0] + y[0] + heis.omega(x[1], y[1])) % N,
+                          _add_coords(x[1], y[1])))
+
+
+def _reference_sum(pairs):
+    out = {}
+    for key, c in pairs:
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def reference_specialize(p, name, N=0):
+    """{key: coeff} of the image of p, one key per term."""
+    key, _ = reference_quotient(name, N)
+    return _reference_sum((key(e), c) for e, c in p.terms.items())
+
+
+def reference_spec_mul(s, t, name, N=0):
+    """{key: coeff} of s t for {key: coeff} s and t, one key product per pair."""
+    _, mul = reference_quotient(name, N)
+    return _reference_sum((mul(k1, k2), c1 * c2)
+                          for k1, c1 in s.items() for k2, c2 in t.items())
+
+
+def reference_spec_add(s, t):
+    return _reference_sum(list(s.items()) + list(t.items()))
