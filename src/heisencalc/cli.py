@@ -12,7 +12,7 @@ import json
 import math
 import sys
 
-from . import aut, braid, heis, pairing, repmatrix, ring, schrodinger
+from . import aut, braid, heis, pairing, repmatrix, ring
 
 
 def _add_format_flags(sp):
@@ -152,6 +152,7 @@ def cmd_pairing(args):
 
 
 def cmd_schrodinger(args):
+    from . import schrodinger  # numpy: only the numerical commands load it
     if args.element:
         h = heis.parse_element(args.genus, args.element)
         U = schrodinger.schrodinger_matrix(args.N, args.genus, h)
@@ -178,6 +179,7 @@ def cmd_verify(args):
     checks = heis.verify_presentation(args.genus)
     checks.extend(braid.verify_bellingeri(args.genus, args.strands))
     if args.all:
+        from . import schrodinger
         left, right = repmatrix.braid_composites()
         fixture = repmatrix.fixture_matrix("action_aba")
         checks.append(("braid identity", left.entries == right.entries))
@@ -299,6 +301,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         heis.check_genus(args.genus)
+        if "strands" in vars(args):
+            braid.check_strands(args.strands)
         code = args.fn(args)
     # RecursionError: input nested too deeply for the parsers
     except (ValueError, ArithmeticError, OSError, RecursionError) as exc:

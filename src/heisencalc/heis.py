@@ -62,6 +62,8 @@ class HeisElement:
             raise ValueError("genus mismatch")
 
     def __mul__(self, other):
+        if not isinstance(other, HeisElement):
+            return NotImplemented
         self._check(other)
         k = self.k + other.k + omega(self.coords, other.coords)
         coords = tuple(a + b for a, b in zip(self.coords, other.coords))

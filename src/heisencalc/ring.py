@@ -154,6 +154,8 @@ class HeisPolynomial:
         return self._of(self.genus, _fibre_mul(self.fibres, other.fibres))
 
     def __rmul__(self, other):
+        if isinstance(other, HeisElement):
+            return HeisPolynomial.monomial(other) * self
         return self * other if isinstance(other, int) else NotImplemented
 
     def __eq__(self, other):

@@ -2,11 +2,13 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from heisencalc import cli, heis
+from heisencalc import braid, cli, heis
 
 
 def run(capsys, *argv):
@@ -221,6 +223,46 @@ def test_genus_bound_exit_1(capsys):
             assert one_line_error(capsys, *cmd, "--genus", genus), (cmd, genus)
     code, _ = run(capsys, "mul", "--genus", str(heis.MAX_GENUS), "a1 b16")
     assert code == 0
+
+
+def test_strands_bound_exit_1(capsys):
+    # refused before any relation is built: a huge strand count returns at once
+    for cmd in (["verify"], ["phi", "s1"]):
+        for strands in (str(braid.MAX_STRANDS + 1), "1", "0", str(10 ** 9)):
+            assert one_line_error(capsys, *cmd, "--strands", strands), (cmd, strands)
+    code, _ = run(capsys, "phi", "--strands", str(braid.MAX_STRANDS),
+                  f"s{braid.MAX_STRANDS - 1}")
+    assert code == 0
+
+
+def _leaves_numpy_loaded(code):
+    """Run code in a fresh interpreter; is numpy in sys.modules afterwards?"""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys; print('numpy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        check=True, timeout=120)
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+def _main(*argv):
+    return f"from heisencalc import cli; assert cli.main({list(argv)!r}) == 0"
+
+
+@pytest.mark.parametrize("code, numpy", [
+    ("import heisencalc", False),
+    ("import heisencalc.cli", False),
+    (_main("mul", "a b", "b^-1"), False),
+    (_main("phi", "s1 a1^-1 b1"), False),
+    (_main("matrix", "aba", "--latex"), False),
+    (_main("verify", "--genus", "2", "--strands", "3"), False),
+    (_main("schrodinger", "--N", "3"), True),
+    (_main("verify", "--all"), True),
+])
+def test_numpy_only_for_numerical_commands(code, numpy):
+    # the exact layers never need floating point, so they never pay for numpy
+    assert _leaves_numpy_loaded(code) == numpy
 
 
 @pytest.mark.parametrize("cmd", [["schrodinger", "--N", "3", "--weil", "a"],

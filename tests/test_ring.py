@@ -309,6 +309,21 @@ def test_specialized_kernel_matches_per_pair_reference(case, quot):
     assert (sp * sq + ring.specialize(-p, Q) * sq).is_zero()
 
 
+@given(genus_and_polys, st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_element_times_polynomial_both_orders(case, rng):
+    genus, (p, _, _) = case
+    h = HeisElement(genus, rng.randint(-5, 5),
+                    tuple(rng.randint(-3, 3) for _ in range(2 * genus)))
+    assert h * p == HeisPolynomial.monomial(h) * p
+    assert p * h == p * HeisPolynomial.monomial(h)
+
+
+def test_element_times_other_type_is_type_error():
+    with pytest.raises(TypeError):
+        heis.u(1) * "x"
+
+
 def test_mul_cancellation_examples():
     # the cross terms of (1 + u)(1 - u) cancel inside one fibre
     assert parse_poly(1, "(1 + u)(1 - u)") == parse_poly(1, "1 - u^2")
