@@ -16,7 +16,8 @@ import numpy as np
 from . import heis
 from .aut import HeisAutomorphism
 
-# 512 MiB: Schrodinger matrices up to N^g = 5792, Weil up to N=39 g=2, N=11 g=3
+# 512 MiB: Schrodinger matrices up to N^g = 5792, the representation verifier
+# up to N=1746 g=1, N=40 g=2, N=11 g=3, Weil up to N=39 g=2, N=11 g=3
 MAX_DENSE_BYTES = 2 ** 29
 
 
@@ -44,6 +45,26 @@ def _monomial(N, k, p, q, s):
     return (s + p) % N, np.exp(1j * np.pi / N * e)
 
 
+def _pack(N, elems):
+    """Rows (k, coords) of the elements as an int64 array, reduced mod 2N.
+
+    The phase depends on k, p, q mod 2N only; reducing first keeps int64 exact.
+    """
+    return np.array([[c % (2 * N) for c in (h.k, *h.coords)] for h in elems],
+                    dtype=np.int64)
+
+
+def _rows(N, g, x):
+    """Column index and phase of the one entry in each row of pi(h), per h.
+
+    x holds one small int64 row (k, coords) per h; both results have shape
+    (len(x), N^g).
+    """
+    x = x[:, None]
+    col, phase = _monomial(N, x[..., 0], x[..., 1::2], x[..., 2::2], _states(N, g))
+    return col @ N ** np.arange(g - 1, -1, -1), phase
+
+
 def schrodinger_matrix(N, g, h):
     """Unitary matrix of a group element on C^(N^g).
 
@@ -54,14 +75,10 @@ def schrodinger_matrix(N, g, h):
     _check_dense(N, g, 2 * g)
     if h.genus != g:
         raise ValueError("genus mismatch")
-    # the phase depends on k, p, q mod 2N only; reducing first keeps int64 exact
-    x = np.array([c % (2 * N) for c in h.coords], dtype=np.int64)
-    s = _states(N, g)
-    col, phase = _monomial(N, h.k % (2 * N), x[::2], x[1::2], s)
-    # axes (row state, column state), reshaped row-major into indices
-    M = np.zeros((N,) * (2 * g), dtype=complex)
-    M[(*s.T, *col.T)] = phase
-    return M.reshape(N ** g, N ** g)
+    col, phase = _rows(N, g, _pack(N, [h]))
+    M = np.zeros((N ** g, N ** g), dtype=complex)
+    M[np.arange(N ** g), col[0]] = phase[0]
+    return M
 
 
 def finite_lift(phi, N):
@@ -82,15 +99,44 @@ def finite_lift(phi, N):
     return HeisAutomorphism(phi.genus, delta, phi.S)
 
 
+def _products_ok(N, g, x, y, xy):
+    """Per row, whether pi(x) pi(y) = pi(xy), on the monomial form.
+
+    x, y and xy hold one element per row, as in _rows.  Row s of pi(x) pi(y)
+    has its one entry in column col_y(col_x(s)), with phase
+    ph_x(s) ph_y(col_x(s)): the column must be that of pi(xy) and the phase
+    within 1e-9 of its phase.  No matrix is built.
+    """
+    ok = np.empty(len(x), dtype=bool)
+    # pairs per pass: about 2^10 (pair, state) entries, so the arrays stay small
+    step = max(1, 2 ** 10 // N ** g)
+    for i in range(0, len(x), step):
+        rows = slice(i, i + step)
+        col_x, ph_x = _rows(N, g, x[rows])
+        col_y, ph_y = _rows(N, g, y[rows])
+        col, ph = _rows(N, g, xy[rows])
+        ok[rows] = ((np.take_along_axis(col_y, col_x, 1) == col).all(1)
+                    & (np.abs(ph_x * np.take_along_axis(ph_y, col_x, 1) - ph)
+                       < 1e-9).all(1))
+    return ok
+
+
 def verify_schrodinger_rep(N, g, tol=1e-10, rng=None):
     """Check the representation property and the central commutator phase.
 
     Returns a list of (description, bool).  Covers all generator pairs,
     unitarity of the generator images, and the commutator of each a_i, b_i
-    pair landing on exp(2 i pi / N) times the identity.  With rng, 200
-    random products are checked too and reported as the one entry
-    'random[200]', true only if all of them pass.
+    pair landing on exp(2 i pi / N) times the identity, on dense matrices
+    and to tol.  With rng, 200 random products are checked too and reported
+    as the one entry 'random[200]', true only if all of them pass; these are
+    checked on the monomial form (column and phase of each row, no matrix),
+    with the phases compared to a fixed 1e-9, not tol.  The working set,
+    2g + 9 dense N^g x N^g arrays, is refused above MAX_DENSE_BYTES before
+    any of them is built.
     """
+    # the 2g generator matrices and at most 8.6 more arrays of their size at
+    # once (tracemalloc at N^g = 256..1024: 7 at g = 1, 8.5 to 8.6 at g = 2..9)
+    _check_dense(N, g, 2 * g, 2 * g + 9)
     report = []
     gens = heis.generators(g)
     mats = {name: schrodinger_matrix(N, g, x) for name, x in gens}
@@ -111,18 +157,13 @@ def verify_schrodinger_rep(N, g, tol=1e-10, rng=None):
         target = np.exp(2j * np.pi / N) * eye
         report.append((f"commutator[{i}]", np.abs(comm - target).max() < tol))
     if rng is not None:
-        all_ok = True
-        for _ in range(200):
-            x = heis.HeisElement(g, int(rng.integers(-5, 6)),
-                                 tuple(int(rng.integers(-4, 5))
-                                       for _ in range(2 * g)))
-            y = heis.HeisElement(g, int(rng.integers(-5, 6)),
-                                 tuple(int(rng.integers(-4, 5))
-                                       for _ in range(2 * g)))
-            ok = np.abs(schrodinger_matrix(N, g, x) @ schrodinger_matrix(N, g, y)
-                        - schrodinger_matrix(N, g, x * y)).max() < 1e-9
-            all_ok = all_ok and ok
-        report.append(("random[200]", all_ok))
+        # rows (k, coords): k in [-5, 5], coords in [-4, 4]
+        x, y = np.concatenate([rng.integers(-5, 6, size=(2, 200, 1)),
+                               rng.integers(-4, 5, size=(2, 200, 2 * g))], axis=2)
+        xy = _pack(N, [heis.HeisElement(g, a[0], tuple(a[1:]))
+                       * heis.HeisElement(g, b[0], tuple(b[1:]))
+                       for a, b in zip(x.tolist(), y.tolist())])
+        report.append(("random[200]", bool(_products_ok(N, g, x, y, xy).all())))
     return report
 
 
@@ -167,12 +208,21 @@ def weil_intertwiner(N, g, phi):
 
 
 def weil_residual(N, g, phi, U):
-    """Largest defect of U pi(h) = pi(phi~ h) U over the generators h."""
+    """Largest defect of U pi(h) = pi(phi~ h) U over the generators h.
+
+    pi(h) is monomial, so U pi(h) is U with column s scaled by ph(s) and moved
+    to col(s), and pi(phi~ h) U is U with rows gathered by col' and scaled by
+    ph': O(N^(2g)) per generator, no matrix product.
+    """
     lifted = finite_lift(phi, N)
+    gens = [h for _, h in heis.generators(g)]
+    cols, phases = _rows(N, g, _pack(N, gens))
+    cols2, phases2 = _rows(N, g, _pack(N, [lifted.apply(h) for h in gens]))
     worst = 0.0
-    for _, h in heis.generators(g):
-        A, B = schrodinger_matrix(N, g, h), schrodinger_matrix(N, g, lifted.apply(h))
-        worst = max(worst, np.abs(U @ A - B @ U).max())
+    for col, ph, col2, ph2 in zip(cols, phases, cols2, phases2):
+        UA = np.empty_like(U)
+        UA[:, col] = U * ph
+        worst = max(worst, np.abs(UA - ph2[:, None] * U[col2]).max())
     return worst
 
 

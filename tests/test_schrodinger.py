@@ -6,7 +6,8 @@ import pytest
 
 from heisencalc import aut, heis, schrodinger as sch
 from heisencalc.heis import HeisElement
-from tests_helpers import loop_schrodinger_matrix, svd_weil_intertwiner
+from tests_helpers import (dense_products_ok, dense_weil_residual,
+                           loop_schrodinger_matrix, svd_weil_intertwiner)
 
 
 def sp_word(genus, kinds):
@@ -100,6 +101,136 @@ def test_random_check_reports_failure(monkeypatch):
     assert len(broken) == 1
     assert [name for name, ok in report if not ok] == ["random[200]"]
     assert [name for name, _ in report].count("random[200]") == 1
+
+
+def report_names(g):
+    names = [name for name, _ in heis.generators(g)]
+    return ([f"unitary[{n}]" for n in names]
+            + [f"hom[{n1},{n2}]" for n1 in names for n2 in names]
+            + [f"commutator[{i}]" for i in range(1, g + 1)] + ["random[200]"])
+
+
+def elem(g, row):
+    return HeisElement(g, row[0], tuple(row[1:]))
+
+
+@pytest.mark.parametrize("N, g", [(N, g) for g in (1, 2, 3) for N in range(2, 9)])
+def test_batched_products_match_dense_reference(N, g):
+    report = sch.verify_schrodinger_rep(N, g, rng=np.random.default_rng(N + 10 * g))
+    assert [name for name, _ in report] == report_names(g)
+    assert all(ok for _, ok in report)
+    # seeded pairs with five kinds of product: honest, swapped (y x), k off
+    # by one, a1 off by one with k moved so every phase stays (only the
+    # columns are wrong), and b1 off by one (the phases of some rows stay)
+    rng = np.random.default_rng(100 + N + 10 * g)
+    rows = rng.integers(-6, 7, size=(2, 15, 2 * g + 1))
+    xs, ys = [[elem(g, r) for r in side.tolist()] for side in rows]
+
+    def product(i, x, y):
+        if i % 5 == 1:
+            return y * x
+        xy = x * y
+        k, c = xy.k, list(xy.coords)
+        if i % 5 == 2:
+            k += 1
+        elif i % 5 == 3:
+            k, c[0] = k - c[1], c[0] + 1
+        elif i % 5 == 4:
+            c[1] += 1
+        return HeisElement(g, k, tuple(c))
+
+    xys = [product(i, x, y) for i, (x, y) in enumerate(zip(xs, ys))]
+    ok = sch._products_ok(N, g, *(sch._pack(N, e) for e in (xs, ys, xys)))
+    want = dense_products_ok(N, g, xs, ys, xys)
+    assert ok.tolist() == want
+    # the honest products pass and the off-by-one ones never do; a swapped
+    # product fails exactly when omega(x, y) is not 0 mod N
+    assert want[::5] == [True] * 3
+    assert want[2::5] + want[3::5] + want[4::5] == [False] * 9
+    assert want[1::5] == [heis.omega(x.coords, y.coords) % N == 0
+                          for x, y in zip(xs[1::5], ys[1::5])]
+
+
+def test_random_check_reports_swapped_product(monkeypatch):
+    # swap one random product: the generator checks only multiply elements
+    # with k in {0, 1}, and a swap shows only when omega(x, y) != 0 mod N
+    # (a k off by one is test_random_check_reports_failure)
+    N, g = 5, 2
+    honest, broken = HeisElement.__mul__, []
+
+    def mul(self, other):
+        if (abs(self.k) >= 2 and not broken
+                and heis.omega(self.coords, other.coords) % N):
+            broken.append(self)
+            return honest(other, self)
+        return honest(self, other)
+
+    monkeypatch.setattr(HeisElement, "__mul__", mul)
+    report = sch.verify_schrodinger_rep(N, g, rng=np.random.default_rng(7))
+    assert len(broken) == 1
+    assert [name for name, ok in report if not ok] == ["random[200]"]
+
+
+def test_random_check_builds_no_dense_matrix(monkeypatch):
+    calls = []
+    dense = sch.schrodinger_matrix
+
+    def counted(*args):
+        calls.append(args)
+        return dense(*args)
+
+    monkeypatch.setattr(sch, "schrodinger_matrix", counted)
+    for N, g in [(3, 1), (4, 2)]:
+        del calls[:]
+        sch.verify_schrodinger_rep(N, g)
+        without = len(calls)
+        del calls[:]
+        sch.verify_schrodinger_rep(N, g, rng=np.random.default_rng(3))
+        assert len(calls) == without
+
+
+def test_verifier_size_cap():
+    # (2g + 9) N^(2g) entries: N=1746 is admitted at g=1, N=1747 is not,
+    # although one N=1747 matrix is within the cap; refused before any array
+    tracemalloc.start()
+    try:
+        for N, g in [(1747, 1), (41, 2), (12, 3), (5793, 1), (10 ** 6, 3)]:
+            with pytest.raises(ValueError, match="dense array"):
+                sch.verify_schrodinger_rep(N, g, rng=np.random.default_rng(0))
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+    finally:
+        tracemalloc.stop()
+    for N, g in [(1746, 1), (40, 2), (11, 3)]:
+        assert 16 * (2 * g + 9) * N ** (2 * g) <= sch.MAX_DENSE_BYTES
+        assert 16 * (2 * g + 9) * (N + 1) ** (2 * g) > sch.MAX_DENSE_BYTES
+    assert 16 * 1747 ** 2 <= sch.MAX_DENSE_BYTES
+
+
+@pytest.mark.parametrize("N, g", [(120, 1), (11, 2), (5, 3)])
+def test_verifier_working_set_within_budget(N, g):
+    # the count the size cap uses covers what the verifier holds at once
+    tracemalloc.start()
+    try:
+        sch.verify_schrodinger_rep(N, g, rng=np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * (2 * g + 9) * N ** (2 * g)
+
+
+@pytest.mark.parametrize("N, g, word", [(3, 1, "a"), (7, 1, "ab"), (4, 2, "bab"),
+                                        (5, 2, "ab"), (3, 3, "ab")])
+def test_weil_residual_matches_dense_formula(N, g, word):
+    phi = sp_word(g, word)
+    U = sch.weil_intertwiner(N, g, phi)
+    assert dense_weil_residual(N, g, phi, U) <= 1e-10
+    assert abs(sch.weil_residual(N, g, phi, U) - dense_weil_residual(N, g, phi, U)) <= 1e-12
+    # a perturbed U, so that neither residual is 0
+    rng = np.random.default_rng(N + g)
+    V = U + 1e-3 * (rng.standard_normal(U.shape) + 1j * rng.standard_normal(U.shape))
+    want = dense_weil_residual(N, g, phi, V)
+    assert want > 1e-4
+    assert abs(sch.weil_residual(N, g, phi, V) - want) <= 1e-12
 
 
 def test_rep_property_random_pairs():

@@ -75,6 +75,26 @@ def svd_weil_intertwiner(N, g, phi):
     return U * (abs(pivot) / pivot)
 
 
+def dense_products_ok(N, g, xs, ys, xys):
+    """Reference product check, one dense matrix product per triple: whether
+    pi(x) pi(y) is within 1e-9 of pi(xy) in every entry."""
+    return [np.abs(sch.schrodinger_matrix(N, g, x) @ sch.schrodinger_matrix(N, g, y)
+                   - sch.schrodinger_matrix(N, g, xy)).max() < 1e-9
+            for x, y, xy in zip(xs, ys, xys)]
+
+
+def dense_weil_residual(N, g, phi, U):
+    """Reference Weil residual: max |U A - B U| over the generators h, with
+    A = pi(h) and B = pi(phi~ h) as dense matrices."""
+    lifted = sch.finite_lift(phi, N)
+    worst = 0.0
+    for _, h in heis.generators(g):
+        A = sch.schrodinger_matrix(N, g, h)
+        B = sch.schrodinger_matrix(N, g, lifted.apply(h))
+        worst = max(worst, np.abs(U @ A - B @ U).max())
+    return worst
+
+
 def dense_mat_mul(A, B):
     """Reference matrix product: every (i, j, k), zero entries included."""
     zero = HeisPolynomial.zero(A.genus)
