@@ -85,20 +85,20 @@ def identity_matrix(genus, size, source_twist=None):
 
 def mat_mul(A, B):
     """Matrix product of the underlying entry arrays, over nonzero entries
-    only: each row of B is listed once as its nonzero (j, b), and each
-    nonzero A[i][k] adds a * b into entry j of row i."""
+    only: each row of A and of B is listed once as its nonzero entries,
+    and ring.fibre_mat_mul forms each entry as one packed sum."""
     if A.cols != B.rows:
         raise ValueError("dimension mismatch")
     if A.genus != B.genus:
         raise ValueError("genus mismatch")
-    b_rows = [[(j, b) for j, b in enumerate(row) if not b.is_zero()] for row in B.entries]
+    a_rows = [[(k, a.fibres) for k, a in enumerate(row) if a.fibres] for row in A.entries]
+    b_rows = [[(j, b.fibres) for j, b in enumerate(row) if b.fibres] for row in B.entries]
+    zero = HeisPolynomial.zero(A.genus)
     entries = []
-    for a_row in A.entries:
-        row = [HeisPolynomial.zero(A.genus)] * B.cols
-        for a, b_row in zip(a_row, b_rows):
-            if not a.is_zero():
-                for j, b in b_row:
-                    row[j] = row[j] + a * b
+    for sums in ring.fibre_mat_mul(a_rows, b_rows):
+        row = [zero] * B.cols
+        for j, f in sums.items():
+            row[j] = HeisPolynomial._of(A.genus, f)
         entries.append(tuple(row))
     return tuple(entries)
 

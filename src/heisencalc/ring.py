@@ -1,17 +1,36 @@
 """Sparse exact arithmetic in the integral group ring of the Heisenberg group.
 
 A polynomial is stored as its coordinate fibres {coords: {k: nonzero int}}.
-One kernel, _fibre_mul, multiplies in the group ring and in its quotients:
-omega and the coordinate sum are computed once per pair of fibres, and the
-u-exponents convolve as plain (arbitrary-precision) integers.  The module
+One kernel multiplies in the group ring, in its quotients (_fibre_mul) and
+in matrix products (fibre_mat_mul): omega and the coordinate sum are
+computed once per pair of fibres, and the u-exponents convolve by Kronecker
+substitution u -> 2^(8 width):
+
+- packing: a fibre is cut into runs, and the terms c u^k of a run from lo
+  become one integer, the sum of c 2^(8 width (k - lo));
+- product: a pair of runs costs one integer product; products for one
+  output fibre are added while packed, keyed by their lowest k, summed
+  into runs and unpacked once (a matrix entry sums all its products so);
+- slot width: width bytes (1, 2, 4, 8, or beyond 8 as many as needed) with
+  L1(left) L1(right) < 2^(8 width - 1), which bounds every slot of every
+  partial sum, so signed slots decode exactly for coefficients of any size;
+- runs: a fibre is cut where it skips more than _GAP slots, and pieces of
+  fewer than _MIN_RUN terms stay single terms; output sums are sorted by
+  their lowest k and added into runs that skip at most _GAP slots.  No
+  packed integer spans more than O(terms) slots, whatever the u-span.
+
+A single-term operand translates the other's fibres instead.  The module
 also provides the three specialization homomorphisms (to Z[u]/(u^2-1), to
-the commutative Laurent ring, and to the central N-torsion quotient) and the
-entrywise action of Heisenberg automorphisms.
+the commutative Laurent ring, and to the central N-torsion quotient), each
+applied once per fibre, and the entrywise action of Heisenberg
+automorphisms.
 """
 
 from dataclasses import dataclass, field
+import itertools
 import operator
 import re
+import sys
 
 from . import heis
 from .heis import HeisElement
@@ -56,23 +75,216 @@ def _add_fibres(left, right):
     return out
 
 
-def _fibre_mul(left, right, twisted=True, modulus=0):
-    """Fibres of the product: (k, x)(l, y) = (k + l + omega(x, y), x + y),
-    without omega unless twisted, then every k reduced mod a nonzero modulus.
-    omega and x + y are computed once per pair of fibres."""
-    out = {}
-    right = [(y, list(fy.items())) for y, fy in right.items()]
-    for x, fx in left.items():
-        for y, fy in right:
-            w = heis.omega(x, y) if twisted else 0
-            if modulus:  # fewer distinct k + l + w to fold in _pruned
+# Slot formats of the packed kernel by slot width in bytes, for writing and
+# reading packed slots through a memoryview (native order, so little-endian
+# hosts only; other widths and hosts go slot by slot).
+_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
+
+# A packed run never skips more than this many empty slots in a row.
+_GAP = 8
+
+# Fibres, and pieces of fibres, of fewer terms are not packed.
+_MIN_RUN = 4
+
+
+def _slot_width(bound):
+    """Bytes per packed slot holding any integer of absolute value at most
+    bound: 1, 2, 4 or 8, and beyond 8 the least that suffices."""
+    size = (bound.bit_length() + 8) // 8
+    return size if size > 8 else 1 << (size - 1).bit_length()
+
+
+def _half(width):
+    """The bytes of 2^(8 width - 1), the slot value that stands for 0."""
+    return bytes(width - 1) + b"\x80"
+
+
+def _bias(n, width):
+    """The packed run of n slots that all hold 2^(8 width - 1)."""
+    return int.from_bytes(_half(width) * n, "little")
+
+
+def _pack_run(terms, lo, n, width):
+    """sum of c 2^(8 width (k - lo)) over the (k, c) in terms, all k in
+    [lo, lo + n): each slot is written 2^(8 width - 1) above its value,
+    and the bias taken off once."""
+    data = bytearray(_half(width) * n)
+    half = 1 << (8 * width - 1)
+    if width in _FORMATS:
+        slots = memoryview(data).cast(_FORMATS[width])
+        for k, c in terms:
+            slots[k - lo] = c + half
+    else:
+        for k, c in terms:
+            data[(k - lo) * width:(k - lo + 1) * width] = (c + half).to_bytes(width, "little")
+    return int.from_bytes(data, "little") - _bias(n, width)
+
+
+def _cut(f, width):
+    """Runs {lo: packed} of a fibre {k: c}: it is cut where it skips more
+    than _GAP slots, pieces of at least _MIN_RUN terms are packed, and the
+    others left as single terms."""
+    terms = sorted(f.items())
+    cuts = [i for i in range(1, len(terms)) if terms[i][0] - terms[i - 1][0] > _GAP]
+    runs = {}
+    for i, j in zip([0] + cuts, cuts + [len(terms)]):
+        if j - i < _MIN_RUN:
+            runs.update(terms[i:j])
+        else:
+            lo = terms[i][0]
+            runs[lo] = _pack_run(terms[i:j], lo, terms[j - 1][0] - lo + 1, width)
+    return runs
+
+
+def _pack(fibres, width):
+    """[(x, runs)] of fibres.  Runs {lo: packed} stand for the terms c u^k
+    with sum of c 2^(8 width (k - lo)) = packed; a single term is a run, so
+    a fibre of fewer than _MIN_RUN terms is its own runs (see _cut)."""
+    return [(x, f if len(f) < _MIN_RUN else _cut(f, width)) for x, f in fibres.items()]
+
+
+def _mul_into(acc, left, right, twisted=True, modulus=0):
+    """Add the product of packed left and right to acc, which maps coords
+    to {lo: packed sum}: (k, x)(l, y) is (k + l + omega(x, y), x + y),
+    without omega unless twisted.  omega and x + y are computed once per
+    pair of fibres, and each pair of runs costs one integer product and
+    one integer sum."""
+    add, mul = operator.add, operator.mul
+    # omega(x, y) is the dot product of x[::2] + x[1::2] with dual(y)
+    right = [(y, y[1::2] + tuple(map(operator.neg, y[::2])), runs.items())
+             for y, runs in right]
+    for x, xruns in left:
+        xs = x[::2] + x[1::2]
+        for y, dual, yruns in right:
+            w = sum(map(mul, xs, dual)) if twisted else 0
+            if modulus:
                 w %= modulus
-            acc = out.setdefault(tuple(map(operator.add, x, y)), {})
-            for k, c in fx.items():
-                k += w
-                for l, d in fy:
-                    acc[k + l] = acc.get(k + l, 0) + c * d
-    return _pruned(out, modulus)
+            z = tuple(map(add, x, y))
+            sums = acc.get(z)
+            if sums is None:
+                sums = acc[z] = {}
+            for lo, v in xruns.items():
+                lo += w
+                for l0, d in yruns:
+                    sums[lo + l0] = sums.get(lo + l0, 0) + v * d
+
+
+def _slots(packed, n, width):
+    """The n slots of a packed run, lowest first, each read as an unsigned
+    integer 2^(8 width - 1) above the signed slot value."""
+    data = (packed + _bias(n, width)).to_bytes(n * width, "little")
+    if width in _FORMATS:
+        return memoryview(data).cast(_FORMATS[width]).tolist()
+    return [int.from_bytes(data[i:i + width], "little") for i in range(0, n * width, width)]
+
+
+def _runs(sums, width):
+    """Disjoint packed runs [lo, hi, packed] that add up to sums
+    {lo: packed}: the sums sorted by lo, each added to the run before it
+    unless that would skip more than _GAP slots."""
+    shift = 8 * width
+    # a packed sum of |value| < 2^(8 width m) holds at most m slots
+    spans = sorted((o, o + v.bit_length() // shift, v) for o, v in sums.items())
+    runs = [list(spans[0])]
+    for o, top, v in spans[1:]:
+        run = runs[-1]
+        if o > run[1] + _GAP:
+            runs.append([o, top, v])
+        else:
+            run[1] = max(run[1], top)
+            run[2] += v << (shift * (o - run[0]))
+    return runs
+
+
+def _unpack(acc, width, modulus=0):
+    """Fibres of the sum that acc holds (see _mul_into), every k reduced mod
+    a nonzero modulus.  Where every sum at some coords is one slot, it is
+    its coefficient; else they are added while packed into runs (see
+    _runs), and each run is unpacked once.  Width 0 says that every sum is
+    one slot."""
+    out = {}
+    half = 1 << (8 * width - 1) if width else 0
+    for z, sums in acc.items():
+        if width and max(map(abs, sums.values())) >= half:
+            f = {}
+            for lo, hi, total in _runs(sums, width):
+                f.update({k: v - half for k, v in enumerate(_slots(total, hi - lo + 1, width), lo)
+                          if v != half})
+        else:
+            f = {k: c for k, c in sums.items() if c}
+        if f:
+            out[z] = f
+    return _pruned(out, modulus) if modulus else out
+
+
+def _l1_norm(fibres):
+    """Sum of the absolute values of the coefficients."""
+    return sum(map(abs, itertools.chain.from_iterable(map(dict.values, fibres.values()))))
+
+
+def _single(fibres):
+    """(coords, k, c) of the only term of fibres, or None."""
+    if len(fibres) == 1:
+        (x, f), = fibres.items()
+        if len(f) == 1:
+            (k, c), = f.items()
+            return x, k, c
+    return None
+
+
+def _translated(term, fibres, on_left, twisted, modulus):
+    """Fibres of term * fibres (or fibres * term unless on_left): each fibre
+    moves as a whole, with no packing."""
+    x, k, c = term
+    out = {}
+    for y, f in fibres.items():
+        w = k + ((heis.omega(x, y) if on_left else heis.omega(y, x)) if twisted else 0)
+        out[tuple(map(operator.add, x, y))] = {l + w: c * d for l, d in f.items()}
+    return _pruned(out, modulus) if modulus else out
+
+
+def _fibre_mul(left, right, twisted=True, modulus=0):
+    """Fibres of the product (see _mul_into), every k reduced mod a nonzero
+    modulus.  A single-term operand translates the other's fibres."""
+    if not (left and right):
+        return {}
+    term = _single(left)
+    if term:
+        return _translated(term, right, True, twisted, modulus)
+    term = _single(right)
+    if term:
+        return _translated(term, left, False, twisted, modulus)
+    acc = {}
+    if max(map(len, itertools.chain(left.values(), right.values()))) < _MIN_RUN:
+        # no fibre to pack, so every sum is one slot
+        _mul_into(acc, left.items(), right.items(), twisted, modulus)
+        return _unpack(acc, 0, modulus)
+    width = _slot_width(_l1_norm(left) * _l1_norm(right))
+    _mul_into(acc, _pack(left, width), _pack(right, width), twisted, modulus)
+    return _unpack(acc, width, modulus)
+
+
+def fibre_mat_mul(a_rows, b_rows):
+    """Entries of a matrix product over the fibres of its nonzero entries:
+    a_rows and b_rows list each row's nonzero (column, fibres), and each
+    row of the result is {column: fibres}.  The entries of b_rows are
+    packed once, and each entry of the result is one packed sum of
+    products, unpacked once."""
+    # no slot of any entry's sum exceeds this bound in absolute value
+    bound = (max((sum(_l1_norm(f) for _, f in row) for row in a_rows), default=0)
+             * max((_l1_norm(f) for row in b_rows for _, f in row), default=0))
+    width = _slot_width(bound)
+    b_rows = [[(j, _pack(f, width)) for j, f in row] for row in b_rows]
+    out = []
+    for a_row in a_rows:
+        sums = {}
+        for k, f in a_row:
+            if b_rows[k]:
+                packed = _pack(f, width)
+                for j, b in b_rows[k]:
+                    _mul_into(sums.setdefault(j, {}), packed, b)
+        out.append({j: _unpack(acc, width) for j, acc in sums.items()})
+    return out
 
 
 def format_sum(pairs, latex=False):
@@ -313,12 +525,13 @@ def parse_poly(genus, text):
 @dataclass(frozen=True)
 class Quotient:
     """A quotient ring of the group ring, named as on the command line, as
-    kernel parameters and a map of terms.  'torsion<N>' (modulo u^N) places
+    kernel parameters and a map of fibres.  'torsion<N>' (modulo u^N) places
     (k, x) at (x, k mod N), twisted, modulus N; 'moriyama' (Z[u]/(u^2-1)) at
     ((), k - quadratic(x) mod 2), the word-form exponent, untwisted, modulus
-    2; 'abelian' (u -> 1) at (x, 0), untwisted.  place(coords, k) is the
-    placed (coords, k), key(coords, k) its printed and sorted key, and
-    lift(genus, key) a group element with that key, which a sum prints.
+    2; 'abelian' (u -> 1) at (x, 0), untwisted.  place(fibres) is the fibres
+    of the placed terms, key(coords, k) the printed and sorted key of a
+    placed term, and lift(genus, key) a group element with that key, which
+    a sum prints.
     """
     name: str
     modulus: int
@@ -328,15 +541,28 @@ class Quotient:
     lift: object = field(compare=False, repr=False)
 
 
+def _place_moriyama(fibres):
+    sums = [0, 0]
+    for x, f in fibres.items():
+        q = heis.quadratic(x)
+        for k, c in f.items():
+            sums[(k - q) % 2] += c
+    f = {k: c for k, c in enumerate(sums) if c}
+    return {(): f} if f else {}
+
+
+def _place_abelian(fibres):
+    sums = {x: sum(f.values()) for x, f in fibres.items()}
+    return {x: {0: c} for x, c in sums.items() if c}
+
+
 MORIYAMA = Quotient(
-    "moriyama", 2, False,
-    lambda x, k: ((), (k - heis.quadratic(x)) % 2),
+    "moriyama", 2, False, _place_moriyama,
     lambda x, k: k,
     lambda genus, key: HeisElement(genus, key, (0,) * (2 * genus)))
 
 ABELIAN = Quotient(
-    "abelian", 0, False,
-    lambda x, k: (x, 0),
+    "abelian", 0, False, _place_abelian,
     lambda x, k: x,
     lambda genus, key: HeisElement(genus, heis.quadratic(key), key))
 
@@ -351,7 +577,7 @@ def torsion(N):
         q = heis.quadratic(key[1])
         return HeisElement(genus, q + (key[0] - q) % N, key[1])
 
-    return Quotient(f"torsion{N}", N, True, lambda x, k: (x, k % N),
+    return Quotient(f"torsion{N}", N, True, lambda fibres: _pruned(fibres, N),
                     lambda x, k: (k, x), lift)
 
 
@@ -411,8 +637,7 @@ class SpecializedPolynomial:
 
 def specialize(p, q):
     """Image of the group-ring element p in the Quotient q."""
-    return SpecializedPolynomial(q, p.genus, _collect(
-        (q.place(x, k), c) for x, f in p.fibres.items() for k, c in f.items()))
+    return SpecializedPolynomial(q, p.genus, q.place(p.fibres))
 
 
 def specialize_moriyama(p):

@@ -17,7 +17,7 @@ from . import heis
 from .aut import HeisAutomorphism
 
 # 512 MiB: Schrodinger matrices up to N^g = 5792, the representation verifier
-# up to N=1746 g=1, N=40 g=2, N=11 g=3, Weil up to N=39 g=2, N=11 g=3
+# up to N=2048 g=1, N=42 g=2, N=11 g=3, Weil up to N=39 g=2, N=11 g=3
 MAX_DENSE_BYTES = 2 ** 29
 
 
@@ -131,12 +131,13 @@ def verify_schrodinger_rep(N, g, tol=1e-10, rng=None):
     as the one entry 'random[200]', true only if all of them pass; these are
     checked on the monomial form (column and phase of each row, no matrix),
     with the phases compared to a fixed 1e-9, not tol.  The working set,
-    2g + 9 dense N^g x N^g arrays, is refused above MAX_DENSE_BYTES before
+    2g + 6 dense N^g x N^g arrays, is refused above MAX_DENSE_BYTES before
     any of them is built.
     """
-    # the 2g generator matrices and at most 8.6 more arrays of their size at
-    # once (tracemalloc at N^g = 256..1024: 7 at g = 1, 8.5 to 8.6 at g = 2..9)
-    _check_dense(N, g, 2 * g, 2 * g + 9)
+    # the 2g generator matrices and at most 5.1 more arrays of their size at
+    # once (tracemalloc at N^g = 120..1024, g = 1..9: 5.00 to 5.08), each
+    # check's arrays released before the next check builds its own
+    _check_dense(N, g, 2 * g, 2 * g + 6)
     report = []
     gens = heis.generators(g)
     mats = {name: schrodinger_matrix(N, g, x) for name, x in gens}
@@ -151,11 +152,13 @@ def verify_schrodinger_rep(N, g, tol=1e-10, rng=None):
             lhs = mats[n1] @ mats[n2]
             rhs = schrodinger_matrix(N, g, x1 * x2)
             report.append((f"hom[{n1},{n2}]", np.abs(lhs - rhs).max() < tol))
+            del lhs, rhs  # released before the next check builds its own
     for i in range(1, g + 1):
         A, B = mats[f"a{i}"], mats[f"b{i}"]
         comm = A @ B @ np.linalg.inv(A) @ np.linalg.inv(B)
         target = np.exp(2j * np.pi / N) * eye
         report.append((f"commutator[{i}]", np.abs(comm - target).max() < tol))
+        del comm, target
     if rng is not None:
         # rows (k, coords): k in [-5, 5], coords in [-4, 4]
         x, y = np.concatenate([rng.integers(-5, 6, size=(2, 200, 1)),

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -34,6 +35,22 @@ def test_mul(capsys):
     code, out = run(capsys, "mul", "--plain", "a b", "b^-1 a^-1")
     assert code == 0
     assert out.strip() == "1"
+
+
+def test_mul_huge_exponents(capsys):
+    # u-exponents 10^9 apart and coordinates 10^6: cost follows the terms
+    t0 = time.perf_counter()
+    code, out = run(capsys, "mul", "--genus", "1", "u^1000000000 + 1 - u^-1000000000 a",
+                    "u^1000000000 + a^1000000 b^1000000")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0
+    assert out == json.dumps([
+        {"k": 0, "coords": [1, 0], "c": -1},
+        {"k": 1000000000, "coords": [0, 0], "c": 1},
+        {"k": 2000000000, "coords": [0, 0], "c": 1},
+        {"k": 999001000000, "coords": [1000001, 1000000], "c": -1},
+        {"k": 1000000000000, "coords": [1000000, 1000000], "c": 1},
+        {"k": 1001000000000, "coords": [1000000, 1000000], "c": 1}]) + "\n"
 
 
 def test_boundary_moriyama_is_identity(capsys):

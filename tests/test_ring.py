@@ -1,12 +1,14 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heisencalc import heis, ring
+from heisencalc import aut, heis, repmatrix as rm, ring
 from heisencalc.heis import HeisElement
 from heisencalc.ring import HeisPolynomial, parse_poly
-from tests_helpers import (random_twist_aut, reference_quotient, reference_spec_add,
+from tests_helpers import (dense_mat_mul, loop_fibre_mul, random_twist_aut,
+                           reference_quotient, reference_spec_add,
                            reference_spec_mul, reference_specialize)
 
 
@@ -160,7 +162,6 @@ def test_quotient_names():
 
 
 def test_aut_apply_poly_is_ring_hom():
-    from heisencalc import aut
     rng = random.Random(8)
     tau = aut.twist_aut(1, "a")
     for _ in range(300):
@@ -172,9 +173,10 @@ def test_aut_apply_poly_is_ring_hom():
 
 
 # ---------------------------------------------------------------------------
-# The product against a term-by-term reference, on both data shapes: few
-# coordinate fibres with a wide u-span (mapping-class matrix entries) and
-# many fibres with a narrow u-span (scattered sums).
+# The product against a term-by-term reference, on three data shapes: few
+# coordinate fibres with a wide u-span (mapping-class matrix entries), many
+# fibres with a narrow u-span (scattered sums), and few fibres whose terms
+# sit in dense clusters about 10^12 apart, with coefficients up to 2^80.
 # ---------------------------------------------------------------------------
 
 def reference_mul(p, q):
@@ -190,18 +192,22 @@ def reference_mul(p, q):
 @st.composite
 def shaped_polys(draw, genus, count):
     """count polynomials of one genus, all of one shape."""
-    if draw(st.booleans()):
-        # few fibres, wide u-span
+    shape = draw(st.sampled_from(["wide", "scattered", "sparse"]))
+    coeff, size = st.integers(-3, 3), 12
+    if shape == "scattered":
+        fibre = st.tuples(*[st.integers(-3, 3)] * (2 * genus))
+        k = st.integers(-1, 1)
+    else:
         fibre = st.sampled_from(draw(st.lists(
             st.tuples(*[st.integers(-2, 2)] * (2 * genus)), min_size=1, max_size=3)))
         k = st.integers(-30, 30)
-    else:
-        # many fibres, narrow u-span
-        fibre = st.tuples(*[st.integers(-3, 3)] * (2 * genus))
-        k = st.integers(-1, 1)
-    term = st.tuples(st.builds(lambda k, x: HeisElement(genus, k, x), k, fibre),
-                     st.integers(-3, 3))
-    return [HeisPolynomial(genus, draw(st.lists(term, max_size=12)))
+    if shape == "sparse":
+        # slot widths beyond 8 bytes, and fibres cut into runs and single terms
+        k = st.builds(lambda cluster, offset: cluster * 10 ** 12 + offset,
+                      st.integers(-1, 1), st.integers(-3, 3))
+        coeff, size = st.integers(-2 ** 80, 2 ** 80), 16
+    term = st.tuples(st.builds(lambda k, x: HeisElement(genus, k, x), k, fibre), coeff)
+    return [HeisPolynomial(genus, draw(st.lists(term, max_size=size)))
             for _ in range(count)]
 
 
@@ -307,6 +313,61 @@ def test_specialized_kernel_matches_per_pair_reference(case, quot):
     # full cancellation
     sp, sq = ring.specialize(p, Q), ring.specialize(q, Q)
     assert (sp * sq + ring.specialize(-p, Q) * sq).is_zero()
+
+
+@given(genus_and_polys, quotients)
+@settings(max_examples=150, deadline=None)
+def test_packed_kernel_matches_loop_reference(case, quot):
+    """The packed kernel against the term-pair loop, with the kernel
+    parameters of the full ring and of each quotient."""
+    genus, (p, q, r) = case
+    Q = ring.quotient(*quot)
+    for twisted, modulus in ((True, 0), (Q.twisted, Q.modulus)):
+        for x, y in ((p, q), (q, p), (p, r), (p, p), (p, -p)):
+            assert (ring._fibre_mul(x.fibres, y.fibres, twisted, modulus)
+                    == loop_fibre_mul(x.fibres, y.fibres, twisted, modulus))
+
+
+@given(st.integers(1, 2).flatmap(lambda g: st.tuples(st.just(g), shaped_polys(g, 12))),
+       st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_mat_mul_matches_dense_by_shape(case, rng):
+    """A 2x3 times 3x2 product, each entry one packed sum, against the
+    product of every pair of entries by the loop reference."""
+    genus, polys = case
+    rng.shuffle(polys)
+    ident = aut.identity_aut(genus)
+    A = rm.RepMatrix(genus, (tuple(polys[0:3]), tuple(polys[3:6])), ident)
+    B = rm.RepMatrix(genus, (tuple(polys[6:8]), tuple(polys[8:10]), tuple(polys[10:12])), ident)
+    product = rm.mat_mul(A, B)
+    assert product == dense_mat_mul(A, B)
+    assert all(_stored_canonically(p) for row in product for p in row)
+
+
+@pytest.mark.parametrize("scale", [1, 2 ** 3, 2 ** 12, 2 ** 28, 2 ** 60, 2 ** 100])
+def test_every_slot_width(scale):
+    """Products whose coefficient bound needs 1, 2, 4, 8 and more than 8
+    bytes a slot, with signs that borrow across slots."""
+    p = parse_poly(1, "1 - u + 3 u^2 - u^3 + u^4 - 2 u^5 + a") * scale
+    q = parse_poly(1, "-1 - u^-1 + u^-2 - 3 u^-3 + u^-4 + b - u b") * scale
+    for x, y in ((p, q), (q, p), (p, p), (q, -q)):
+        assert (x * y).fibres == loop_fibre_mul(x.fibres, y.fibres)
+    assert ring._slot_width(2 ** 7 - 1) == 1 and ring._slot_width(2 ** 7) == 2
+    assert ring._slot_width(2 ** 15) == 4 and ring._slot_width(2 ** 63 - 1) == 8
+    assert ring._slot_width(2 ** 63) == 9 and ring._slot_width(2 ** 80) == 11
+
+
+def test_sparse_exponents_cost_terms():
+    """Exponents far apart are cut into separate runs, so the cost follows
+    the terms and not the u-span or the coordinates."""
+    p = parse_poly(1, "u^100000 + 1 + u + u^2 + u^3 + u^4 - u^-100000 a")
+    q = parse_poly(1, "u^1000000000000000 + a^1000000 b^1000000 + 1 - u - u^2 + u^3")
+    t0 = time.perf_counter()
+    for x, y in ((p, p), (p, q), (q, q), (q, p)):
+        assert (x * y).terms == reference_mul(x, y)
+    M = rm.RepMatrix(1, ((p, q), (q, p)), aut.identity_aut(1))
+    assert rm.mat_mul(M, M) == dense_mat_mul(M, M)
+    assert time.perf_counter() - t0 < 2.0
 
 
 @given(genus_and_polys, st.randoms(use_true_random=False))

@@ -190,20 +190,20 @@ def test_random_check_builds_no_dense_matrix(monkeypatch):
 
 
 def test_verifier_size_cap():
-    # (2g + 9) N^(2g) entries: N=1746 is admitted at g=1, N=1747 is not,
-    # although one N=1747 matrix is within the cap; refused before any array
+    # (2g + 6) N^(2g) entries: N=2048 is admitted at g=1, N=2049 is not,
+    # although one N=2049 matrix is within the cap; refused before any array
     tracemalloc.start()
     try:
-        for N, g in [(1747, 1), (41, 2), (12, 3), (5793, 1), (10 ** 6, 3)]:
+        for N, g in [(2049, 1), (43, 2), (12, 3), (5793, 1), (10 ** 6, 3)]:
             with pytest.raises(ValueError, match="dense array"):
                 sch.verify_schrodinger_rep(N, g, rng=np.random.default_rng(0))
         assert tracemalloc.get_traced_memory()[1] < 2 ** 20
     finally:
         tracemalloc.stop()
-    for N, g in [(1746, 1), (40, 2), (11, 3)]:
-        assert 16 * (2 * g + 9) * N ** (2 * g) <= sch.MAX_DENSE_BYTES
-        assert 16 * (2 * g + 9) * (N + 1) ** (2 * g) > sch.MAX_DENSE_BYTES
-    assert 16 * 1747 ** 2 <= sch.MAX_DENSE_BYTES
+    for N, g in [(2048, 1), (42, 2), (11, 3)]:
+        assert 16 * (2 * g + 6) * N ** (2 * g) <= sch.MAX_DENSE_BYTES
+        assert 16 * (2 * g + 6) * (N + 1) ** (2 * g) > sch.MAX_DENSE_BYTES
+    assert 16 * 2049 ** 2 <= sch.MAX_DENSE_BYTES
 
 
 @pytest.mark.parametrize("N, g", [(120, 1), (11, 2), (5, 3)])
@@ -215,7 +215,7 @@ def test_verifier_working_set_within_budget(N, g):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * (2 * g + 9) * N ** (2 * g)
+    assert peak <= 16 * (2 * g + 6) * N ** (2 * g)
 
 
 @pytest.mark.parametrize("N, g, word", [(3, 1, "a"), (7, 1, "ab"), (4, 2, "bab"),

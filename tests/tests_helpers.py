@@ -95,8 +95,26 @@ def dense_weil_residual(N, g, phi, U):
     return worst
 
 
+def loop_fibre_mul(left, right, twisted=True, modulus=0):
+    """Reference fibre product, term pair by term pair: (k, x)(l, y) is
+    (k + l + omega(x, y), x + y), without omega unless twisted, then every k
+    reduced mod a nonzero modulus."""
+    out = {}
+    for x, fx in left.items():
+        for y, fy in right.items():
+            w = heis.omega(x, y) if twisted else 0
+            acc = out.setdefault(tuple(map(operator.add, x, y)), {})
+            for k, c in fx.items():
+                for l, d in fy.items():
+                    key = (k + l + w) % modulus if modulus else k + l + w
+                    acc[key] = acc.get(key, 0) + c * d
+    out = {z: {k: c for k, c in f.items() if c} for z, f in out.items()}
+    return {z: f for z, f in out.items() if f}
+
+
 def dense_mat_mul(A, B):
-    """Reference matrix product: every (i, j, k), zero entries included."""
+    """Reference matrix product: every (i, j, k), zero entries included,
+    each product by loop_fibre_mul."""
     zero = HeisPolynomial.zero(A.genus)
     entries = []
     for i in range(A.rows):
@@ -104,7 +122,8 @@ def dense_mat_mul(A, B):
         for j in range(B.cols):
             acc = zero
             for k in range(A.cols):
-                acc = acc + A.entries[i][k] * B.entries[k][j]
+                acc = acc + HeisPolynomial._of(A.genus, loop_fibre_mul(
+                    A.entries[i][k].fibres, B.entries[k][j].fibres))
             row.append(acc)
         entries.append(tuple(row))
     return tuple(entries)
