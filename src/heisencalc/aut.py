@@ -11,6 +11,7 @@ witnesses, and ships the standard twist actions on pi_1 as built-in tables.
 """
 
 from dataclasses import dataclass
+import functools
 
 from . import heis
 from .heis import HeisElement
@@ -213,11 +214,12 @@ def morita_crossed_hom(genus, tables):
 
 
 # ---------------------------------------------------------------------------
-# Built-in twist data.  The action of the twist along a_i fixes a_i and sends
-# b_i to a_i^-1 b_i; the twist along b_i fixes b_i and sends a_i to a_i b_i.
-# The handedness and the resulting delta values are pinned by the requirement
+# Built-in twist data.  A twist is given by its action on pi_1: the twist
+# along a_i fixes a_i and sends b_i to a_i^-1 b_i; the twist along b_i fixes
+# b_i and sends a_i to a_i b_i.  The handedness is pinned by the requirement
 # that the induced matrices satisfy the braid relation (see the repmatrix
-# tests), and cross-checked against morita_crossed_hom.
+# tests); the Heisenberg automorphism is derived from the action by
+# morita_crossed_hom.
 # ---------------------------------------------------------------------------
 
 def twist_pi1_table(genus, kind, index=1):
@@ -232,6 +234,7 @@ def twist_pi1_table(genus, kind, index=1):
     return table
 
 
+@functools.cache
 def twist_aut(genus, kind, index=1):
     """The Heisenberg automorphism induced by a standard twist.
 
@@ -239,19 +242,7 @@ def twist_aut(genus, kind, index=1):
     b_i -> b_i - a_i.  Along b_i: delta takes value +1 on a_i, the symplectic
     part sends a_i -> a_i + b_i.
     """
-    if kind not in ("a", "b") or not 1 <= index <= genus:
-        raise ValueError("bad twist specification")
-    n = 2 * genus
-    delta = [0] * n
-    S = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    ia, ib = 2 * (index - 1), 2 * (index - 1) + 1
-    if kind == "a":
-        delta[ib] = -1
-        S[ia][ib] = -1   # image of b_i picks up -a_i
-    else:
-        delta[ia] = 1
-        S[ib][ia] = 1    # image of a_i picks up +b_i
-    return HeisAutomorphism(genus, tuple(delta), tuple(tuple(r) for r in S))
+    return morita_crossed_hom(genus, twist_pi1_table(genus, kind, index))
 
 
 def bounding_pair_table(genus=2):

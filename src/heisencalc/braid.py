@@ -74,15 +74,9 @@ class BraidWord:
 
 
 def phi(w):
-    """Image of a braid word in the Heisenberg group."""
-    result = heis.identity(w.genus)
-    for name, exp in w.letters:
-        if name[0] == "s":
-            img = heis.u(w.genus, exp)
-        else:
-            img = heis.generator(w.genus, name, exp)
-        result = result * img
-    return result
+    """Image of a braid word in the Heisenberg group: each s_i reads as u."""
+    return heis.from_word(w.genus, [("u" if name[0] == "s" else name, exp)
+                                    for name, exp in w.letters])
 
 
 def _w(genus, strands, *letters):

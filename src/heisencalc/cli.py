@@ -8,6 +8,7 @@ error (bad input values, failed verification), 2 usage error.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -119,16 +120,10 @@ def cmd_morita(args):
     return 0
 
 
-def cmd_matrix(args):
-    _emit_matrix(BUILTIN_MATRICES[args.name](args.genus), args)
-
-
 def cmd_compose(args):
-    mats = [BUILTIN_MATRICES[name](args.genus) for name in args.names]
-    result = mats[0]
-    for M in mats[1:]:
-        result = repmatrix.compose_twisted(result, M)
-    _emit_matrix(result, args)
+    names = args.names if args.cmd == "compose" else [args.name]  # matrix NAME
+    mats = [BUILTIN_MATRICES[name](args.genus) for name in names]
+    _emit_matrix(functools.reduce(repmatrix.compose_twisted, mats), args)
 
 
 def cmd_specialize(args):
@@ -251,7 +246,7 @@ def build_parser():
     sp.add_argument("--genus", type=int, default=1)
     sp.add_argument("--specialize")
     _add_format_flags(sp)
-    sp.set_defaults(fn=cmd_matrix)
+    sp.set_defaults(fn=cmd_compose)
 
     sp = sub.add_parser("compose", help="twisted composite of built-in matrices")
     sp.add_argument("names", nargs="+", choices=list(BUILTIN_MATRICES))

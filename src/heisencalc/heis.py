@@ -120,19 +120,12 @@ def u(genus, power=1):
 
 def gen_a(genus, i, power=1):
     """The lift of a_i, with 1 <= i <= genus."""
-    if not 1 <= i <= genus:
-        raise ValueError(f"index {i} out of range for genus {genus}")
-    coords = [0] * (2 * genus)
-    coords[2 * (i - 1)] = power
-    return HeisElement(genus, 0, tuple(coords))
+    return generator(genus, f"a{i}", power)
 
 
 def gen_b(genus, i, power=1):
-    if not 1 <= i <= genus:
-        raise ValueError(f"index {i} out of range for genus {genus}")
-    coords = [0] * (2 * genus)
-    coords[2 * (i - 1) + 1] = power
-    return HeisElement(genus, 0, tuple(coords))
+    """The lift of b_i, with 1 <= i <= genus."""
+    return generator(genus, f"b{i}", power)
 
 
 @functools.cache
@@ -161,9 +154,12 @@ def generator(genus, name, power=1):
     m = re.fullmatch(r"([ab])(\d*)", name)
     if not m:
         raise ValueError(f"unknown generator {name!r}")
-    idx = int(m.group(2)) if m.group(2) else 1
-    make = gen_a if m.group(1) == "a" else gen_b
-    return make(genus, idx, power)
+    i = int(m.group(2)) if m.group(2) else 1
+    if not 1 <= i <= genus:
+        raise ValueError(f"index {i} out of range for genus {genus}")
+    coords = [0] * (2 * genus)
+    coords[2 * i - 2 + (m.group(1) == "b")] = power
+    return HeisElement(genus, 0, tuple(coords))
 
 
 def from_word(genus, word):

@@ -28,7 +28,7 @@ class IntersectionRecord:
 
     def __post_init__(self):
         for s in (self.sgn_p1, self.sgn_p2, self.sgn_loop):
-            if s not in (1, -1):
+            if type(s) is not int or s not in (1, -1):
                 raise ValueError("signs must be +1 or -1")
         if self.loop.strands != 2:
             raise ValueError("loops live in the two-point configuration space")
@@ -65,10 +65,9 @@ def evaluate_pairing(records, genus=1, mode="paper-formula"):
     for rec in records:
         if rec.loop.genus != genus:
             raise ValueError("record genus mismatch")
-        if mode == "paper-formula":
-            sign = rec.sgn_p1 * rec.sgn_p2 * rec.sgn_loop
-        else:
-            sign = configuration_sign(rec.sgn_p1, rec.sgn_p2, rec.sgn_loop)
+        sign = rec.sgn_p1 * rec.sgn_p2 * rec.sgn_loop
+        if mode == "oriented":
+            sign = -sign
         total = total + HeisPolynomial.monomial(braid.phi(rec.loop), sign)
     return total
 

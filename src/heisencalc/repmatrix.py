@@ -16,6 +16,7 @@ shifted product, and the higher genus separating twist in block form.
 """
 
 from dataclasses import dataclass
+import functools
 import importlib.resources
 import json
 
@@ -66,21 +67,17 @@ class RepMatrix:
                          for row in self.entries)
 
 
-def matrix_from_strings(genus, rows, source_twist=None):
-    """Build a RepMatrix from a list of lists of expression strings."""
-    if source_twist is None:
-        source_twist = aut.identity_aut(genus)
+def matrix_from_strings(genus, rows):
+    """Build an untwisted RepMatrix from a list of lists of expression strings."""
     entries = tuple(tuple(ring.parse_poly(genus, s) for s in row) for row in rows)
-    return RepMatrix(genus, entries, source_twist)
+    return RepMatrix(genus, entries, aut.identity_aut(genus))
 
 
-def identity_matrix(genus, size, source_twist=None):
-    if source_twist is None:
-        source_twist = aut.identity_aut(genus)
+def identity_matrix(genus, size):
     one, zero = HeisPolynomial.one(genus), HeisPolynomial.zero(genus)
     entries = tuple(tuple(one if i == j else zero for j in range(size))
                     for i in range(size))
-    return RepMatrix(genus, entries, source_twist)
+    return RepMatrix(genus, entries, aut.identity_aut(genus))
 
 
 def mat_mul(A, B):
@@ -226,16 +223,10 @@ def _load_fixture():
     return json.loads(text)
 
 
-_FIXTURE_CACHE = {}
-
-
-def fixture_matrix(name, genus=1):
-    """Transcribed reference matrix by name, as a plain (untwisted) RepMatrix."""
-    key = (name, genus)
-    if key not in _FIXTURE_CACHE:
-        data = _load_fixture()
-        _FIXTURE_CACHE[key] = matrix_from_strings(genus, data[name])
-    return _FIXTURE_CACHE[key]
+@functools.cache
+def fixture_matrix(name):
+    """Transcribed genus-1 reference matrix by name, as a plain (untwisted) RepMatrix."""
+    return matrix_from_strings(1, _load_fixture()[name])
 
 
 def fixture_blocks(genus=1):
@@ -244,23 +235,24 @@ def fixture_blocks(genus=1):
             for k, v in data["separating_blocks"].items()}
 
 
+def _standard_twist(kind):
+    """Twist along the a or b curve, genus 1, two points."""
+    return RepMatrix(1, fixture_matrix("m_" + kind).entries, aut.twist_aut(1, kind).inverse())
+
+
 def matrix_Ta():
-    """Twist along the a curve, genus 1, two points."""
-    fm = fixture_matrix("m_a")
-    return RepMatrix(1, fm.entries, aut.twist_aut(1, "a").inverse())
+    return _standard_twist("a")
 
 
 def matrix_Tb():
-    """Twist along the b curve, genus 1, two points."""
-    fm = fixture_matrix("m_b")
-    return RepMatrix(1, fm.entries, aut.twist_aut(1, "b").inverse())
+    return _standard_twist("b")
 
 
 def braid_composites():
     """The two sides Ta Tb Ta and Tb Ta Tb of the braid relation."""
     Ma, Mb = matrix_Ta(), matrix_Tb()
-    return (compose_twisted(compose_twisted(Ma, Mb), Ma),
-            compose_twisted(compose_twisted(Mb, Ma), Mb))
+    return (functools.reduce(compose_twisted, (Ma, Mb, Ma)),
+            functools.reduce(compose_twisted, (Mb, Ma, Mb)))
 
 
 def matrix_TaTbTa():
@@ -277,10 +269,7 @@ def matrix_boundary_twist():
     carries the identity twist (the boundary twist acts trivially on the
     group), which is asserted.
     """
-    A = matrix_TaTbTa()
-    result = A
-    for _ in range(3):
-        result = compose_twisted(result, A)
+    result = functools.reduce(compose_twisted, [matrix_TaTbTa()] * 4)
     if not result.source_twist.is_identity():
         raise ArithmeticError("boundary twist acquired a nontrivial twist")
     return result

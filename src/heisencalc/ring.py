@@ -424,6 +424,10 @@ class HeisPolynomial:
 
 # Largest n accepted in (expr)^n; each step is one full product.
 MAX_POWER = 16
+# Most term pairs (terms so far times terms of expr) one step of (expr)^n
+# may multiply; the slowest admitted step, 6528 x 30 scattered terms at
+# genus 16, takes about 0.9 s (2-core Xeon).
+MAX_POWER_STEP = 200_000
 
 _EXPR_TOKEN = re.compile(r"\s*(?:(\d+)|([uab]\d*)|(\^-?\d+)|([+\-()]))")
 
@@ -501,8 +505,12 @@ class _Parser:
                 if not 0 <= power <= MAX_POWER:
                     raise ValueError(f"(expr)^n needs 0 <= n <= {MAX_POWER}; "
                                      "negative powers only on group generators")
+                size = sum(map(len, inner.fibres.values()))
                 result = HeisPolynomial.one(self.genus)
                 for _ in range(power):
+                    if sum(map(len, result.fibres.values())) * size > MAX_POWER_STEP:
+                        raise ValueError(f"(expr)^{power} needs more than {MAX_POWER_STEP} "
+                                         "term products in one step")
                     result = result * inner
                 return result
             return inner

@@ -74,6 +74,27 @@ def test_matrix_latex(capsys):
     assert out.startswith("\\begin{pmatrix}")
 
 
+@pytest.mark.parametrize("fmt", [[], ["--json"], ["--plain"], ["--latex"],
+                                 ["--specialize", "moriyama"]])
+@pytest.mark.parametrize("name", list(cli.BUILTIN_MATRICES))
+def test_matrix_is_compose_of_one_name(capsys, name, fmt):
+    genus = ["--genus", "2"] if name == "separating" else []
+    assert run(capsys, "matrix", name, *genus, *fmt) == \
+        run(capsys, "compose", name, *genus, *fmt)
+
+
+def test_matrix_unknown_name_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["matrix", "nosuch"])
+    assert exc.value.code == 2
+    # argparse wraps the usage to the terminal width
+    assert " ".join(capsys.readouterr().err.split()) == (
+        "usage: heisencalc matrix [-h] [--genus GENUS] [--specialize SPECIALIZE] "
+        "[--json | --plain | --latex] {ta,tb,aba,boundary,separating} "
+        "heisencalc matrix: error: argument name: invalid choice: 'nosuch' "
+        "(choose from 'ta', 'tb', 'aba', 'boundary', 'separating')")
+
+
 def test_compose_matches_aba(capsys):
     code, out = run(capsys, "compose", "ta", "tb", "ta")
     _, out2 = run(capsys, "matrix", "aba")
@@ -125,7 +146,10 @@ def test_aut_witness_malformed(capsys, witness):
 
 
 @pytest.mark.parametrize("data", [
-    [{"s1": 1}], {"a": 1}, [{"s1": 1, "s2": 1, "sl": 1, "loop": 5}]])
+    [{"s1": 1}], {"a": 1}, [{"s1": 1, "s2": 1, "sl": 1, "loop": 5}],
+    # signs must be ints: 1.0 and true would pass a test s in (1, -1)
+    [{"s1": 1.0, "s2": 1, "sl": 1, "loop": "a1"}],
+    [{"s1": 1, "s2": True, "sl": 1, "loop": "a1"}]])
 def test_pairing_fixture_malformed(capsys, tmp_path, data):
     path = tmp_path / "records.json"
     path.write_text(json.dumps(data))
@@ -223,6 +247,12 @@ def test_domain_error_exit_code(capsys):
 
 def test_size_limits_exit_1(capsys):
     assert one_line_error(capsys, "mul", "(1 + a)^100000000000")
+    # n <= MAX_POWER, but a step would multiply more than MAX_POWER_STEP term pairs
+    for argv in (["--genus", "4", "(a1+b1+a2+b2+a3+b3+a4+b4)^16"],
+                 ["((a+b)^16)^8"], ["((a+b)^16)^16"]):
+        t0 = time.perf_counter()
+        assert one_line_error(capsys, "mul", *argv), argv
+        assert time.perf_counter() - t0 < 1.0, argv
     assert one_line_error(capsys, "schrodinger", "--N", "1000000", "--genus", "3")
     assert one_line_error(capsys, "schrodinger", "--N", "1000000", "--genus", "3",
                           "--weil", "a")

@@ -63,6 +63,16 @@ def test_parse_rejects():
         parse_poly(1, "x + 1")
 
 
+def test_power_step_bound(monkeypatch):
+    # the last step of (1 + a)^16 multiplies 16 x 2 term pairs
+    monkeypatch.setattr(ring, "MAX_POWER_STEP", 32)
+    assert parse_poly(1, "(1 + a)^16") == parse_poly(1, "(1 + a)^8") * parse_poly(1, "(1 + a)^8")
+    monkeypatch.setattr(ring, "MAX_POWER_STEP", 31)
+    with pytest.raises(ValueError, match="term products"):
+        parse_poly(1, "(1 + a)^16")
+    assert parse_poly(1, "(1 + a)^15") == parse_poly(1, "(1 + a)^5") * parse_poly(1, "(1 + a)^10")
+
+
 def test_power_of_sum_is_capped():
     n = ring.MAX_POWER
     assert parse_poly(1, f"(1 + u)^{n}") == parse_poly(1, "1 + u") * parse_poly(1, f"(1 + u)^{n - 1}")

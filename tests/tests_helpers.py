@@ -10,6 +10,23 @@ from heisencalc.heis import HeisElement
 from heisencalc.ring import HeisPolynomial
 
 
+def reference_twist_aut(genus, kind, index=1):
+    """The automorphism of a standard twist, written out by hand: along a_i,
+    delta is -1 on b_i and S sends b_i -> b_i - a_i; along b_i, delta is +1
+    on a_i and S sends a_i -> a_i + b_i."""
+    n = 2 * genus
+    delta = [0] * n
+    S = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    ia, ib = 2 * (index - 1), 2 * (index - 1) + 1
+    if kind == "a":
+        delta[ib] = -1
+        S[ia][ib] = -1   # image of b_i picks up -a_i
+    else:
+        delta[ia] = 1
+        S[ib][ia] = 1    # image of a_i picks up +b_i
+    return aut.HeisAutomorphism(genus, tuple(delta), tuple(tuple(r) for r in S))
+
+
 def random_twist_aut(rng, genus):
     """Random composite of standard twists and an inner automorphism."""
     phi = aut.identity_aut(genus)
