@@ -80,7 +80,7 @@ def cmd_phi(args):
 def cmd_mul(args):
     result = ring.parse_poly(args.genus, args.exprs[0])
     for text in args.exprs[1:]:
-        result = result * ring.parse_poly(args.genus, text)
+        result = ring.bounded_product(result, ring.parse_poly(args.genus, text))
     if args.specialize:
         _emit_specialized(result, args.specialize, args.fmt)
     else:
@@ -180,7 +180,7 @@ def cmd_verify(args):
         checks.append(("braid identity", left.entries == right.entries))
         checks.append(("braid identity matches fixture",
                        left.entries == fixture.entries))
-        Md = repmatrix.matrix_boundary_twist()
+        Md = repmatrix._boundary_twist(left)  # the aba just built
         checks.append(("boundary twist matches fixture",
                        Md.entries == repmatrix.fixture_matrix("boundary_twist").entries))
         checks.append(("boundary twist dies in the u-quotient",

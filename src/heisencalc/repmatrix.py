@@ -265,11 +265,14 @@ def matrix_TaTbTa():
 
 def matrix_boundary_twist():
     """Boundary twist: four copies of the aba matrix shifted along powers
-    of the induced order-4 automorphism, multiplied together.  The result
-    carries the identity twist (the boundary twist acts trivially on the
-    group), which is asserted.
-    """
-    result = functools.reduce(compose_twisted, [matrix_TaTbTa()] * 4)
+    of the induced order-4 automorphism, multiplied together."""
+    return _boundary_twist(matrix_TaTbTa())
+
+
+def _boundary_twist(aba):
+    """The fourth twisted power of aba, which carries the identity twist (the
+    boundary twist acts trivially on the group); that is asserted."""
+    result = functools.reduce(compose_twisted, [aba] * 4)
     if not result.source_twist.is_identity():
         raise ArithmeticError("boundary twist acquired a nontrivial twist")
     return result

@@ -424,10 +424,19 @@ class HeisPolynomial:
 
 # Largest n accepted in (expr)^n; each step is one full product.
 MAX_POWER = 16
-# Most term pairs (terms so far times terms of expr) one step of (expr)^n
-# may multiply; the slowest admitted step, 6528 x 30 scattered terms at
-# genus 16, takes about 0.9 s (2-core Xeon).
+# Most term pairs one parsed product may multiply (a juxtaposition, a mul
+# operand, a step of (expr)^n); the slowest admitted step, 6528 x 30
+# scattered terms at genus 16, takes about 0.9 s (2-core Xeon).
 MAX_POWER_STEP = 200_000
+
+
+def bounded_product(left, right, what="product"):
+    """left * right, refused before it runs above MAX_POWER_STEP term pairs."""
+    pairs = sum(map(len, left.fibres.values())) * sum(map(len, right.fibres.values()))
+    if pairs > MAX_POWER_STEP:
+        raise ValueError(f"{what} needs more than {MAX_POWER_STEP} term products in one step")
+    return left * right
+
 
 _EXPR_TOKEN = re.compile(r"\s*(?:(\d+)|([uab]\d*)|(\^-?\d+)|([+\-()]))")
 
@@ -484,7 +493,7 @@ class _Parser:
     def parse_product(self):
         result = self.parse_factor()
         while self.peek()[0] in ("int", "sym", "("):
-            result = result * self.parse_factor()
+            result = bounded_product(result, self.parse_factor())
         return result
 
     def parse_factor(self):
@@ -505,13 +514,9 @@ class _Parser:
                 if not 0 <= power <= MAX_POWER:
                     raise ValueError(f"(expr)^n needs 0 <= n <= {MAX_POWER}; "
                                      "negative powers only on group generators")
-                size = sum(map(len, inner.fibres.values()))
                 result = HeisPolynomial.one(self.genus)
                 for _ in range(power):
-                    if sum(map(len, result.fibres.values())) * size > MAX_POWER_STEP:
-                        raise ValueError(f"(expr)^{power} needs more than {MAX_POWER_STEP} "
-                                         "term products in one step")
-                    result = result * inner
+                    result = bounded_product(result, inner, f"(expr)^{power}")
                 return result
             return inner
         raise ValueError(f"unexpected token {kind!r}")

@@ -6,9 +6,9 @@ generators) acts by
 
     [pi(h) psi](s) = exp(i pi (k + p.q) / N) exp(2 i pi q.s / N) psi(s + p).
 
-So pi(h) is monomial; every matrix here is built from that form over int64
-arrays of states s, indexed row-major, and Weil intertwiners are averages
-over the finite group.  Arrays above MAX_DENSE_BYTES are refused up front.
+So pi(h) is monomial; every matrix and check here works on that form over
+int64 arrays of states s, indexed row-major, and Weil intertwiners are
+averages over the finite group.  Arrays above MAX_DENSE_BYTES are refused up front.
 """
 
 import numpy as np
@@ -16,18 +16,19 @@ import numpy as np
 from . import heis
 from .aut import HeisAutomorphism
 
-# 512 MiB: Schrodinger matrices up to N^g = 5792, the representation verifier
-# up to N=2048 g=1, N=42 g=2, N=11 g=3, Weil up to N=39 g=2, N=11 g=3
+# 512 MiB: Schrodinger matrices up to N^g = 5792, Weil up to N=39 g=2, N=11 g=3,
+# the verifier up to N=546 g=2, N=53 g=3, N=2 g=13; the slowest admitted verify
+# request, `schrodinger --N 3 --genus 9`, takes about 4 s (2-core Xeon)
 MAX_DENSE_BYTES = 2 ** 29
 
 
-def _check_dense(N, g, power, count=1):
-    """Refuse N < 2, and count * N^power complex entries above MAX_DENSE_BYTES."""
+def _check_size(N, g, power, entry_bytes, what="dense array"):
+    """Refuse N < 2, and N^power entries of entry_bytes each above MAX_DENSE_BYTES."""
     if N < 2:
         raise ValueError("N must be >= 2")
     # N^64 alone exceeds the budget, so a larger power need not be computed
-    if 16 * count * N ** min(power, 64) > MAX_DENSE_BYTES:
-        raise ValueError(f"N={N}, genus {g}: dense array over {MAX_DENSE_BYTES} bytes")
+    if entry_bytes * N ** min(power, 64) > MAX_DENSE_BYTES:
+        raise ValueError(f"N={N}, genus {g}: {what} over {MAX_DENSE_BYTES} bytes")
 
 
 def _states(N, g):
@@ -72,7 +73,7 @@ def schrodinger_matrix(N, g, h):
     s + p mod N, so that matrices multiply in the same order as group
     elements.
     """
-    _check_dense(N, g, 2 * g)
+    _check_size(N, g, 2 * g, 16)
     if h.genus != g:
         raise ValueError("genus mismatch")
     col, phase = _rows(N, g, _pack(N, [h]))
@@ -99,66 +100,56 @@ def finite_lift(phi, N):
     return HeisAutomorphism(phi.genus, delta, phi.S)
 
 
-def _products_ok(N, g, x, y, xy):
-    """Per row, whether pi(x) pi(y) = pi(xy), on the monomial form.
+def _compose(x, y):
+    """Rows (column, phase) of pi(x) pi(y) from those of pi(x) and pi(y): row
+    s has column col_y(col_x(s)) and phase ph_x(s) ph_y(col_x(s))."""
+    (col_x, ph_x), (col_y, ph_y) = x, y
+    return np.take_along_axis(col_y, col_x, -1), ph_x * np.take_along_axis(ph_y, col_x, -1)
 
-    x, y and xy hold one element per row, as in _rows.  Row s of pi(x) pi(y)
-    has its one entry in column col_y(col_x(s)), with phase
-    ph_x(s) ph_y(col_x(s)): the column must be that of pi(xy) and the phase
-    within 1e-9 of its phase.  No matrix is built.
-    """
+
+def _products_ok(N, g, x, y, xy, tol):
+    """Per row of x, y and xy (packed elements), whether pi(x) pi(y) = pi(xy)
+    on the monomial form: the same columns, and phases within tol."""
     ok = np.empty(len(x), dtype=bool)
     # pairs per pass: about 2^10 (pair, state) entries, so the arrays stay small
     step = max(1, 2 ** 10 // N ** g)
     for i in range(0, len(x), step):
         rows = slice(i, i + step)
-        col_x, ph_x = _rows(N, g, x[rows])
-        col_y, ph_y = _rows(N, g, y[rows])
-        col, ph = _rows(N, g, xy[rows])
-        ok[rows] = ((np.take_along_axis(col_y, col_x, 1) == col).all(1)
-                    & (np.abs(ph_x * np.take_along_axis(ph_y, col_x, 1) - ph)
-                       < 1e-9).all(1))
+        col, ph = _compose(_rows(N, g, x[rows]), _rows(N, g, y[rows]))
+        col_xy, ph_xy = _rows(N, g, xy[rows])
+        ok[rows] = (col == col_xy).all(1) & (np.abs(ph - ph_xy) < tol).all(1)
     return ok
 
 
 def verify_schrodinger_rep(N, g, tol=1e-10, rng=None):
     """Check the representation property and the central commutator phase.
 
-    Returns a list of (description, bool).  Covers all generator pairs,
-    unitarity of the generator images, and the commutator of each a_i, b_i
-    pair landing on exp(2 i pi / N) times the identity, on dense matrices
-    and to tol.  With rng, 200 random products are checked too and reported
-    as the one entry 'random[200]', true only if all of them pass; these are
-    checked on the monomial form (column and phase of each row, no matrix),
-    with the phases compared to a fixed 1e-9, not tol.  The working set,
-    2g + 6 dense N^g x N^g arrays, is refused above MAX_DENSE_BYTES before
-    any of them is built.
+    Returns a list of (description, bool): unitarity of the generator images,
+    every generator pair, and the commutator of each a_i, b_i pair landing on
+    exp(2 i pi / N) times the identity, to tol.  With rng, 200 random
+    products too, as the one entry 'random[200]', with phases to a fixed
+    1e-9.  Every check reads the monomial form, O(g N^g) per pair, and the
+    rows of x, y and xy of every pair (an int64 column and a complex phase
+    per state) are refused above MAX_DENSE_BYTES before any is computed.
     """
-    # the 2g generator matrices and at most 5.1 more arrays of their size at
-    # once (tracemalloc at N^g = 120..1024, g = 1..9: 5.00 to 5.08), each
-    # check's arrays released before the next check builds its own
-    _check_dense(N, g, 2 * g, 2 * g + 6)
-    report = []
+    pairs = (2 * g + 1) ** 2 + (200 if rng is not None else 0)
+    _check_size(N, g, g, 3 * 24 * pairs, "verifier rows")
     gens = heis.generators(g)
-    mats = {name: schrodinger_matrix(N, g, x) for name, x in gens}
-    dim = N ** g
-    eye = np.eye(dim)
-    for name, _ in gens:
-        U = mats[name]
-        report.append((f"unitary[{name}]",
-                       np.abs(U @ U.conj().T - eye).max() < tol))
-    for n1, x1 in gens:
-        for n2, x2 in gens:
-            lhs = mats[n1] @ mats[n2]
-            rhs = schrodinger_matrix(N, g, x1 * x2)
-            report.append((f"hom[{n1},{n2}]", np.abs(lhs - rhs).max() < tol))
-            del lhs, rhs  # released before the next check builds its own
-    for i in range(1, g + 1):
-        A, B = mats[f"a{i}"], mats[f"b{i}"]
-        comm = A @ B @ np.linalg.inv(A) @ np.linalg.inv(B)
-        target = np.exp(2j * np.pi / N) * eye
-        report.append((f"commutator[{i}]", np.abs(comm - target).max() < tol))
-        del comm, target
+    x = _pack(N, [h for _, h in gens])
+    col, ph = _rows(N, g, x)
+    unitary = ((np.sort(col, 1) == np.arange(N ** g)).all(1)
+               & (np.abs(np.abs(ph) ** 2 - 1) < tol).all(1))
+    left, right = np.divmod(np.arange(len(gens) ** 2), len(gens))
+    hom = _products_ok(N, g, x[left], x[right],
+                       _pack(N, [x1 * x2 for _, x1 in gens for _, x2 in gens]), tol)
+    # A B A^-1 B^-1 = c I as A B = c B A, every handle at once (a_i, b_i: rows 2i-1, 2i)
+    A, B = (col[1::2], ph[1::2]), (col[2::2], ph[2::2])
+    (col_ab, ph_ab), (col_ba, ph_ba) = _compose(A, B), _compose(B, A)
+    comm = ((col_ab == col_ba).all(1)
+            & (np.abs(ph_ab - np.exp(2j * np.pi / N) * ph_ba) < tol).all(1))
+    report = [(f"unitary[{name}]", bool(ok)) for (name, _), ok in zip(gens, unitary)]
+    report += [(f"hom[{gens[i][0]},{gens[j][0]}]", bool(h)) for i, j, h in zip(left, right, hom)]
+    report += [(f"commutator[{i}]", bool(ok)) for i, ok in enumerate(comm, 1)]
     if rng is not None:
         # rows (k, coords): k in [-5, 5], coords in [-4, 4]
         x, y = np.concatenate([rng.integers(-5, 6, size=(2, 200, 1)),
@@ -166,7 +157,7 @@ def verify_schrodinger_rep(N, g, tol=1e-10, rng=None):
         xy = _pack(N, [heis.HeisElement(g, a[0], tuple(a[1:]))
                        * heis.HeisElement(g, b[0], tuple(b[1:]))
                        for a, b in zip(x.tolist(), y.tolist())])
-        report.append(("random[200]", bool(_products_ok(N, g, x, y, xy).all())))
+        report.append(("random[200]", bool(_products_ok(N, g, x, y, xy, 1e-9).all())))
     return report
 
 
@@ -185,7 +176,7 @@ def weil_intertwiner(N, g, phi):
         raise ValueError("automorphism must have zero delta part")
     if phi.genus != g:
         raise ValueError("genus mismatch")
-    _check_dense(N, g, 2 * g, 3 * g + 8)
+    _check_size(N, g, 2 * g, 16 * (3 * g + 8))
     lifted = finite_lift(phi, N)
     x = _states(N, 2 * g)
     p, q = x[:, ::2], x[:, 1::2]

@@ -9,7 +9,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from heisencalc import braid, cli, heis
+from heisencalc import braid, cli, heis, repmatrix, ring
 
 
 def run(capsys, *argv):
@@ -207,6 +207,31 @@ def test_verify_all(capsys):
     assert "braid identity" in out
 
 
+def test_verify_all_builds_composites_once(capsys, monkeypatch):
+    # Ta Tb Ta and Tb Ta Tb (2 each), then the boundary twist as the fourth
+    # power of the aba already built (3): 7 twisted compositions
+    calls = []
+    honest = repmatrix.compose_twisted
+
+    def counted(*args):
+        calls.append(args)
+        return honest(*args)
+
+    monkeypatch.setattr(repmatrix, "compose_twisted", counted)
+    code, out = run(capsys, "verify", "--all")
+    assert code == 0 and "FAIL" not in out
+    assert len(calls) == 7
+
+
+def test_schrodinger_verify_large_N(capsys):
+    # the verifier reads the monomial form: N^g = 40000 needs no dense matrix
+    code, out = run(capsys, "schrodinger", "--N", "200", "--genus", "2")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 5 + 25 + 2
+    assert all(line.endswith(": pass") for line in lines)
+
+
 def test_aut_and_morita(capsys):
     code, out = run(capsys, "aut", "--twist", "a")
     assert code == 0
@@ -253,9 +278,27 @@ def test_size_limits_exit_1(capsys):
         t0 = time.perf_counter()
         assert one_line_error(capsys, "mul", *argv), argv
         assert time.perf_counter() - t0 < 1.0, argv
+    # juxtaposed factors and further mul operands are bounded like powers:
+    # 26455 x 26455 term pairs, refused once both operands are built
+    big = "(a1+b1+a2+b2+a3+b3+a4+b4)^8"
+    for argv in ([f"{big} {big}"], [big, big]):
+        t0 = time.perf_counter()
+        assert one_line_error(capsys, "mul", "--genus", "4", *argv), argv
+        assert time.perf_counter() - t0 < 2.0, argv
     assert one_line_error(capsys, "schrodinger", "--N", "1000000", "--genus", "3")
+    assert one_line_error(capsys, "schrodinger", "--N", "2", "--genus", "16")
     assert one_line_error(capsys, "schrodinger", "--N", "1000000", "--genus", "3",
                           "--weil", "a")
+
+
+def test_mul_operands_bound(capsys, monkeypatch):
+    # (1 + a)^8 has 9 terms: 81 term pairs are admitted at a bound of 81
+    monkeypatch.setattr(ring, "MAX_POWER_STEP", 81)
+    code, out = run(capsys, "mul", "--plain", "(1 + a)^8", "(1 + a)^8")
+    assert code == 0
+    assert out == run(capsys, "mul", "--plain", "(1 + a)^16")[1]
+    monkeypatch.setattr(ring, "MAX_POWER_STEP", 80)
+    assert one_line_error(capsys, "mul", "(1 + a)^8", "(1 + a)^8")
 
 
 def test_genus_bound_exit_1(capsys):

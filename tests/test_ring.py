@@ -73,6 +73,18 @@ def test_power_step_bound(monkeypatch):
     assert parse_poly(1, "(1 + a)^15") == parse_poly(1, "(1 + a)^5") * parse_poly(1, "(1 + a)^10")
 
 
+def test_product_bound(monkeypatch):
+    # juxtaposed factors are bounded like power steps: 9 x 9 term pairs here
+    monkeypatch.setattr(ring, "MAX_POWER_STEP", 81)
+    assert parse_poly(1, "(1 + a)^8 (1 + a)^8") == parse_poly(1, "(1 + a)^16")
+    monkeypatch.setattr(ring, "MAX_POWER_STEP", 80)
+    with pytest.raises(ValueError, match="product needs more than 80 term products"):
+        parse_poly(1, "(1 + a)^8 (1 + a)^8")
+    # a product of one-term factors stays within any bound of at least 1
+    monkeypatch.setattr(ring, "MAX_POWER_STEP", 1)
+    assert parse_poly(1, "2 a b u") == parse_poly(1, "2 u a b")
+
+
 def test_power_of_sum_is_capped():
     n = ring.MAX_POWER
     assert parse_poly(1, f"(1 + u)^{n}") == parse_poly(1, "1 + u") * parse_poly(1, f"(1 + u)^{n - 1}")

@@ -6,8 +6,9 @@ import pytest
 
 from heisencalc import aut, heis, schrodinger as sch
 from heisencalc.heis import HeisElement
-from tests_helpers import (dense_products_ok, dense_weil_residual,
-                           loop_schrodinger_matrix, svd_weil_intertwiner)
+from tests_helpers import (dense_products_ok, dense_verify_schrodinger_rep,
+                           dense_weil_residual, loop_schrodinger_matrix,
+                           svd_weil_intertwiner)
 
 
 def sp_word(genus, kinds):
@@ -140,7 +141,7 @@ def test_batched_products_match_dense_reference(N, g):
         return HeisElement(g, k, tuple(c))
 
     xys = [product(i, x, y) for i, (x, y) in enumerate(zip(xs, ys))]
-    ok = sch._products_ok(N, g, *(sch._pack(N, e) for e in (xs, ys, xys)))
+    ok = sch._products_ok(N, g, *(sch._pack(N, e) for e in (xs, ys, xys)), 1e-9)
     want = dense_products_ok(N, g, xs, ys, xys)
     assert ok.tolist() == want
     # the honest products pass and the off-by-one ones never do; a swapped
@@ -172,6 +173,7 @@ def test_random_check_reports_swapped_product(monkeypatch):
 
 
 def test_random_check_builds_no_dense_matrix(monkeypatch):
+    # neither the generator checks nor the random products build a matrix
     calls = []
     dense = sch.schrodinger_matrix
 
@@ -181,41 +183,142 @@ def test_random_check_builds_no_dense_matrix(monkeypatch):
 
     monkeypatch.setattr(sch, "schrodinger_matrix", counted)
     for N, g in [(3, 1), (4, 2)]:
-        del calls[:]
         sch.verify_schrodinger_rep(N, g)
-        without = len(calls)
-        del calls[:]
         sch.verify_schrodinger_rep(N, g, rng=np.random.default_rng(3))
-        assert len(calls) == without
+    assert calls == []
 
 
-def test_verifier_size_cap():
-    # (2g + 6) N^(2g) entries: N=2048 is admitted at g=1, N=2049 is not,
-    # although one N=2049 matrix is within the cap; refused before any array
+def plain(report):
+    return [(name, bool(ok)) for name, ok in report]
+
+
+@pytest.mark.parametrize("seed, tol", [(None, 1e-10), (11, 1e-10), (None, 1e-12),
+                                       (11, 1e-12), (None, 0.0)])
+@pytest.mark.parametrize("N, g", [(N, g) for g in (1, 2, 3) for N in range(2, 9)])
+def test_verifier_matches_dense_oracle(N, g, seed, tol):
+    # tol = 0 fails every generator check on both sides: it pins that each
+    # check compares against tol (random[200] keeps its fixed 1e-9)
+    def run(verify):
+        return plain(verify(N, g, tol, None if seed is None else np.random.default_rng(seed)))
+
+    report = run(sch.verify_schrodinger_rep)
+    assert report == run(dense_verify_schrodinger_rep)
+    assert [name for name, _ in report] == report_names(g)[:len(report)]
+    assert len(report) == len(report_names(g)) - (seed is None)
+
+
+def corrupt_random_k(honest, broken):
+    # k off by one in the first product whose left factor has |k| >= 2: a
+    # random pair, since the generator checks only multiply k in {0, 1}
+    def mul(self, other):
+        out = honest(self, other)
+        if abs(self.k) >= 2 and not broken:
+            broken.append(self)
+            return HeisElement(out.genus, out.k + 1, out.coords)
+        return out
+    return mul
+
+
+def swap_random(honest, broken, N=5):
+    # y x for the first random pair whose swap shows: omega(x, y) != 0 mod N
+    def mul(self, other):
+        if (abs(self.k) >= 2 and not broken
+                and heis.omega(self.coords, other.coords) % N):
+            broken.append(self)
+            return honest(other, self)
+        return honest(self, other)
+    return mul
+
+
+def corrupt_generator_product(honest, broken, g=2):
+    # a1 b2 with its central exponent off by one: a generator pair
+    a1, b2 = heis.generator(g, "a1"), heis.generator(g, "b2")
+
+    def mul(self, other):
+        out = honest(self, other)
+        if self == a1 and other == b2:
+            broken.append(self)
+            return HeisElement(out.genus, out.k + 1, out.coords)
+        return out
+    return mul
+
+
+@pytest.mark.parametrize("fault, want", [
+    (corrupt_random_k, ["random[200]"]),
+    (swap_random, ["random[200]"]),
+    (corrupt_generator_product, ["hom[a1,b2]"]),
+])
+def test_verifier_faults_match_dense_oracle(monkeypatch, fault, want):
+    N, g = 5, 2
+    reports = []
+    for verify in (sch.verify_schrodinger_rep, dense_verify_schrodinger_rep):
+        broken = []
+        monkeypatch.setattr(HeisElement, "__mul__", fault(HeisElement.__mul__, broken))
+        reports.append(plain(verify(N, g, 1e-10, np.random.default_rng(7))))
+        monkeypatch.undo()
+        assert len(broken) == 1
+    assert reports[0] == reports[1]
+    assert [name for name, ok in reports[0] if not ok] == want
+
+
+def verifier_bytes(N, g, rng):
+    """What the verifier's size check counts: 24 bytes (an int64 column and
+    a complex phase) per state for each of x, y and xy of every pair."""
+    return 3 * 24 * ((2 * g + 1) ** 2 + (200 if rng else 0)) * N ** g
+
+
+# the largest admitted N at g = 1, 2, 3, without and with a random generator
+VERIFIER_LIMITS = {False: [(828504, 1), (546, 2), (53, 3)],
+                   True: [(35677, 1), (182, 2), (31, 3)]}
+
+
+def test_verifier_size_cap(monkeypatch):
+    for rng, limits in VERIFIER_LIMITS.items():
+        for N, g in limits:
+            assert verifier_bytes(N, g, rng) <= sch.MAX_DENSE_BYTES
+            assert verifier_bytes(N + 1, g, rng) > sch.MAX_DENSE_BYTES
+    # N=2 is refused from genus 14 on; genus 13 is admitted
+    assert verifier_bytes(2, 13, False) <= sch.MAX_DENSE_BYTES
+    assert verifier_bytes(2, 14, False) > sch.MAX_DENSE_BYTES
+    refused = [(N + 1, g, rng) for rng, limits in VERIFIER_LIMITS.items()
+               for N, g in limits]
+    refused += [(2, 14, False), (2, 16, False), (2, 10 ** 6, False), (10 ** 6, 3, False),
+                (10 ** 6, 3, True)]
+    # each refused before any array is built
     tracemalloc.start()
     try:
-        for N, g in [(2049, 1), (43, 2), (12, 3), (5793, 1), (10 ** 6, 3)]:
-            with pytest.raises(ValueError, match="dense array"):
-                sch.verify_schrodinger_rep(N, g, rng=np.random.default_rng(0))
-        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+        for N, g, rng in refused:
+            tracemalloc.reset_peak()
+            with pytest.raises(ValueError, match="verifier rows"):
+                sch.verify_schrodinger_rep(
+                    N, g, rng=np.random.default_rng(0) if rng else None)
+            assert tracemalloc.get_traced_memory()[1] < 2 ** 20, (N, g, rng)
     finally:
         tracemalloc.stop()
-    for N, g in [(2048, 1), (42, 2), (11, 3)]:
-        assert 16 * (2 * g + 6) * N ** (2 * g) <= sch.MAX_DENSE_BYTES
-        assert 16 * (2 * g + 6) * (N + 1) ** (2 * g) > sch.MAX_DENSE_BYTES
-    assert 16 * 2049 ** 2 <= sch.MAX_DENSE_BYTES
+    # the verifier counts exactly verifier_bytes: with a cap of that many
+    # bytes, N is admitted and N + 1 is refused
+    for N, g, rng in [(40, 2, False), (7, 3, True)]:
+        monkeypatch.setattr(sch, "MAX_DENSE_BYTES", verifier_bytes(N, g, rng))
+        sch.verify_schrodinger_rep(N, g, rng=np.random.default_rng(0) if rng else None)
+        with pytest.raises(ValueError, match="verifier rows"):
+            sch.verify_schrodinger_rep(N + 1, g, rng=np.random.default_rng(0) if rng else None)
 
 
-@pytest.mark.parametrize("N, g", [(120, 1), (11, 2), (5, 3)])
+@pytest.mark.parametrize("N, g", [(120, 1), (11, 2), (5, 3), (4096, 1), (64, 2), (16, 3)])
 def test_verifier_working_set_within_budget(N, g):
-    # the count the size cap uses covers what the verifier holds at once
-    tracemalloc.start()
-    try:
-        sch.verify_schrodinger_rep(N, g, rng=np.random.default_rng(1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 16 * (2 * g + 6) * N ** (2 * g)
+    # the count the size cap uses covers what the verifier holds at once; the
+    # interpreter's own allocations (about 0.1 MB) outweigh the count without
+    # the random products below N^g = 4096 or so
+    for rng in [True, False] if N ** g >= 4096 else [True]:
+        tracemalloc.start()
+        try:
+            report = sch.verify_schrodinger_rep(
+                N, g, rng=np.random.default_rng(1) if rng else None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(ok for _, ok in report)
+        assert peak <= verifier_bytes(N, g, rng), rng
 
 
 @pytest.mark.parametrize("N, g, word", [(3, 1, "a"), (7, 1, "ab"), (4, 2, "bab"),

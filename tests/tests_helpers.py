@@ -100,6 +100,41 @@ def dense_products_ok(N, g, xs, ys, xys):
             for x, y, xy in zip(xs, ys, xys)]
 
 
+def dense_verify_schrodinger_rep(N, g, tol=1e-10, rng=None):
+    """Reference representation verifier on dense matrices: the same report
+    as schrodinger.verify_schrodinger_rep (names, order and results), with
+    every check one dense matrix product, np.linalg.inv for the commutators
+    and dense_products_ok for the 200 random products.  O(g^2 N^(3g)) work:
+    small sizes only."""
+    report = []
+    gens = heis.generators(g)
+    mats = {name: sch.schrodinger_matrix(N, g, x) for name, x in gens}
+    eye = np.eye(N ** g)
+    for name, _ in gens:
+        U = mats[name]
+        report.append((f"unitary[{name}]",
+                       np.abs(U @ U.conj().T - eye).max() < tol))
+    for n1, x1 in gens:
+        for n2, x2 in gens:
+            lhs = mats[n1] @ mats[n2]
+            rhs = sch.schrodinger_matrix(N, g, x1 * x2)
+            report.append((f"hom[{n1},{n2}]", np.abs(lhs - rhs).max() < tol))
+    for i in range(1, g + 1):
+        A, B = mats[f"a{i}"], mats[f"b{i}"]
+        comm = A @ B @ np.linalg.inv(A) @ np.linalg.inv(B)
+        target = np.exp(2j * np.pi / N) * eye
+        report.append((f"commutator[{i}]", np.abs(comm - target).max() < tol))
+    if rng is not None:
+        # the same draws as the verifier: k in [-5, 5], coords in [-4, 4]
+        x, y = np.concatenate([rng.integers(-5, 6, size=(2, 200, 1)),
+                               rng.integers(-4, 5, size=(2, 200, 2 * g))], axis=2)
+        xs, ys = [[HeisElement(g, r[0], tuple(r[1:])) for r in side.tolist()]
+                  for side in (x, y)]
+        report.append(("random[200]", all(dense_products_ok(
+            N, g, xs, ys, [a * b for a, b in zip(xs, ys)]))))
+    return report
+
+
 def dense_weil_residual(N, g, phi, U):
     """Reference Weil residual: max |U A - B U| over the generators h, with
     A = pi(h) and B = pi(phi~ h) as dense matrices."""
