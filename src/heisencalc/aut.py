@@ -6,8 +6,9 @@ delta a linear form on H_1 and S a symplectic matrix, acting by
     (k, x) -> (k + delta(x), S x).
 
 The module also computes the crossed homomorphism delta from an action on the
-fundamental group (the d_i counting formula), inner automorphisms and their
-witnesses, and ships the standard twist actions on pi_1 as built-in tables.
+fundamental group (the central exponent of each image word), inner
+automorphisms and their witnesses, and ships the standard twist actions on
+pi_1 as built-in tables.
 """
 
 from dataclasses import dataclass
@@ -127,90 +128,54 @@ def inner_witness(phi):
 
 
 # ---------------------------------------------------------------------------
-# Free-group words on the letters a1, b1, ..., ag, bg and the crossed
-# homomorphism computed from an action on them.
+# Free-group words on the letters a1, b1, ..., ag, bg.  Their images in the
+# Heisenberg group are multiplied out by heis.from_word, the quotient map that
+# braid.phi also uses; the crossed homomorphism of an action on pi_1 is the
+# central exponent of each image word.
 # ---------------------------------------------------------------------------
 
-def _free_reduce(word):
-    out = []
-    for name, exp in word:
-        if exp == 0:
-            continue
-        if out and out[-1][0] == name:
-            merged = out[-1][1] + exp
-            out.pop()
-            if merged:
-                out.append((name, merged))
-        else:
-            out.append((name, exp))
-    return out
-
-
-def _split_letters(word):
-    letters = []
-    for name, exp in word:
-        step = 1 if exp > 0 else -1
-        letters.extend((name, step) for _ in range(abs(exp)))
-    return letters
-
-
-def morita_d(i, word):
-    """The handle-i self-linking count of a free-group word.
-
-    The word is projected to the free group on (a_i, b_i) by deleting all other
-    letters, reduced, then greedily decomposed left to right into blocks
-    a_i^nu b_i^mu with nu, mu in {-1, 0, 1}; the result is
-    sum_{j,k} iota_{jk} nu_j mu_k with iota_{jk} = +1 for j <= k, -1 otherwise.
-    """
-    target_a, target_b = f"a{i}", f"b{i}"
+def _check_letters(word):
     for name, _ in word:
         if not (name[0] in "ab" and name[1:].isdigit()):
             raise ValueError(f"bad letter {name!r} in free-group word")
-    projected = [(name, exp) for name, exp in word if name in (target_a, target_b)]
-    letters = _split_letters(_free_reduce(projected))
-    nus, mus = [], []
-    pos = 0
-    while pos < len(letters):
-        if letters[pos][0] == target_a:
-            nus.append(letters[pos][1])
-            pos += 1
-            if pos < len(letters) and letters[pos][0] == target_b:
-                mus.append(letters[pos][1])
-                pos += 1
-            else:
-                mus.append(0)
-        else:
-            nus.append(0)
-            mus.append(letters[pos][1])
-            pos += 1
-    total = 0
-    for j in range(len(nus)):
-        for k in range(len(mus)):
-            iota = 1 if j <= k else -1
-            total += iota * nus[j] * mus[k]
-    return total
+
+
+def morita_d(i, word):
+    """The handle-i self-linking count of a free-group word: the central
+    exponent k of its letters a_i^e and b_i^f, multiplied out at genus 1.
+
+    This is Morita's count over the greedy blocks a_i^nu b_i^mu.  For each
+    letter let P and Q be the sums of the a- and b-exponents before it, and V
+    and M the totals.  Multiplying out adds omega(prefix, letter) at each
+    letter, so k = sum_b f P - sum_a e Q.  Each pair of an a-letter and a
+    b-letter adds e f to exactly one of the two sums, whichever comes first,
+    so sum_a e Q = V M - sum_b f P and k = sum_b f (2P - V).  That is
+    sum_{j<=k} nu_j mu_k - sum_{j>k} nu_j mu_k: the block of each b-letter
+    has nu-prefix P, counting its paired a, and V - P is the nu left after
+    it.  The sum does not change under free reduction, so none is needed.
+    """
+    _check_letters(word)
+    handle = (f"a{i}", f"b{i}")
+    return heis.from_word(1, [(name[0], exp) for name, exp in word
+                              if name in handle]).k
 
 
 def morita_crossed_hom(genus, tables):
     """Automorphism induced by an action on the free generators of pi_1.
 
     tables maps each generator name 'a1', 'b1', ... to its image word (a list
-    of (name, exponent) pairs).  The symplectic part is the homology matrix of
-    the action; the delta part is computed with the counting formula:
-    delta(c) = sum_i d_i(image of c) - d_i(c).
+    of (name, exponent) pairs).  Each image word is multiplied out once: its
+    coordinates are a column of the symplectic part, and its central exponent
+    is the value of delta, which is sum_i morita_d(i, image).
     """
     names = heis.generator_names(genus)[1:]
-    S = tuple(zip(*(heis.from_word(genus, tables[name]).coords for name in names)))
+    images = [heis.from_word(genus, tables[name]) for name in names]
+    S = tuple(zip(*(x.coords for x in images)))
     if not is_symplectic(S, genus):
         raise ValueError("action is not symplectic on homology")
-    delta = []
     for name in names:
-        image = tables[name]
-        base = [(name, 1)]
-        value = sum(morita_d(i, image) - morita_d(i, base)
-                    for i in range(1, genus + 1))
-        delta.append(value)
-    return HeisAutomorphism(genus, tuple(delta), S)
+        _check_letters(tables[name])
+    return HeisAutomorphism(genus, tuple(x.k for x in images), S)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ shifted product, and the higher genus separating twist in block form.
 from dataclasses import dataclass
 import functools
 import importlib.resources
+import itertools
 import json
 
 from . import aut, ring
@@ -197,17 +198,10 @@ def basis_enumerate(g, n):
     """
     if g < 1 or n < 2:
         raise ValueError("need g >= 1 and n >= 2")
-    dim = 2 * g
-    out = []
-
-    def recurse(prefix, remaining, slots):
-        if slots == 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for c in range(remaining, -1, -1):
-            recurse(prefix + [c], remaining - c, slots - 1)
-
-    recurse([], n, dim)
+    # count vectors of the sorted n-multisets of slots, which come largest first
+    slots = range(2 * g)
+    out = [tuple(map(c.count, slots))
+           for c in itertools.combinations_with_replacement(slots, n)]
     if n == 2:
         out.sort(key=lambda index: _FIRST_HANDLE_ORDER[index[:2]])
     return out
@@ -250,17 +244,15 @@ def matrix_Tb():
 
 def braid_composites():
     """The two sides Ta Tb Ta and Tb Ta Tb of the braid relation."""
-    Ma, Mb = matrix_Ta(), matrix_Tb()
-    return (functools.reduce(compose_twisted, (Ma, Mb, Ma)),
-            functools.reduce(compose_twisted, (Mb, Ma, Mb)))
+    Mb = matrix_Tb()
+    return matrix_TaTbTa(), functools.reduce(compose_twisted, (Mb, matrix_Ta(), Mb))
 
 
 def matrix_TaTbTa():
-    """The braid-relation composite, computed both ways and checked equal."""
-    left, right = braid_composites()
-    if left != right:
-        raise ArithmeticError("braid-relation composites disagree")
-    return left
+    """The braid-relation composite Ta Tb Ta, folded once; braid_composites
+    builds both sides for the relation check."""
+    Ma = matrix_Ta()
+    return functools.reduce(compose_twisted, (Ma, matrix_Tb(), Ma))
 
 
 def matrix_boundary_twist():

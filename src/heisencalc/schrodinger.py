@@ -225,9 +225,8 @@ def weil_cocycle(N, g, phi1, phi2):
     U1 = weil_intertwiner(N, g, phi1)
     U2 = weil_intertwiner(N, g, phi2)
     U12 = weil_intertwiner(N, g, phi1.compose(phi2))
-    prod = U1 @ U2
-    lam = np.trace(U12 @ prod.conj().T) / prod.shape[0]
-    return lam
+    # tr(U12 (U1 U2)^H) / N^g, as one elementwise sum
+    return np.vdot(U1 @ U2, U12) / len(U12)
 
 
 def matrix_to_json(U):

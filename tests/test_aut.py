@@ -1,11 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from heisencalc import aut, heis
 from heisencalc.aut import HeisAutomorphism
 from heisencalc.heis import HeisElement
-from tests_helpers import reference_twist_aut
+from tests_helpers import block_count_morita_d, reference_twist_aut
 
 
 def random_aut(rng, genus):
@@ -166,6 +167,77 @@ def test_morita_d_examples():
     # letters from other handles are ignored
     assert aut.morita_d(1, [("a2", 5), ("a1", 1), ("b2", -1), ("b1", 1)]) == 1
     assert aut.morita_d(2, [("a1", 1), ("b1", 1)]) == 0
+    # exponents are never expanded into letters
+    assert aut.morita_d(1, [("a1", 10 ** 9), ("b1", 1)]) == 10 ** 9
+    assert aut.morita_d(1, [("b1", 7), ("a1", 10 ** 9), ("a1", -10 ** 9)]) == 0
+
+
+# unreduced words in the letters of handles 1-3, zero exponents included
+free_words = st.lists(st.tuples(st.sampled_from(heis.generator_names(3)[1:]),
+                                st.integers(-5, 5)), max_size=14)
+
+
+@given(free_words)
+def test_morita_d_matches_block_count(word):
+    for i in (1, 2, 3, 4):
+        assert aut.morita_d(i, word) == block_count_morita_d(i, word)
+    assert sum(aut.morita_d(i, word) for i in (1, 2, 3)) == heis.from_word(3, word).k
+
+
+def block_count_delta(genus, table):
+    """delta from Morita's block formula: sum_i d_i(image) - d_i(generator)."""
+    return tuple(sum(block_count_morita_d(i, table[name])
+                     - block_count_morita_d(i, [(name, 1)]) for i in range(1, genus + 1))
+                 for name in heis.generator_names(genus)[1:])
+
+
+def invert_word(word):
+    return [(name, -exp) for name, exp in reversed(word)]
+
+
+def compose_tables(outer, inner):
+    """The pi_1 action 'outer after inner': each letter of an inner image word
+    is replaced by its outer image (inverted for a negative exponent)."""
+    def image(name, exp):
+        word = outer[name] if exp > 0 else invert_word(outer[name])
+        return word * abs(exp)
+    return {c: [x for name, exp in w for x in image(name, exp)]
+            for c, w in inner.items()}
+
+
+def test_crossed_hom_matches_block_count():
+    tables = [aut.twist_pi1_table(g, kind, idx) for g in (1, 2, 3, 4)
+              for kind in "ab" for idx in range(1, g + 1)]
+    tables += [aut.bounding_pair_table(g) for g in (2, 3, 4)]
+    for table in tables:
+        g = len(table) // 2
+        assert aut.morita_crossed_hom(g, table).delta == block_count_delta(g, table)
+    rng = random.Random(17)
+    for _ in range(200):
+        g = rng.randint(1, 3)
+        table = {c: [(c, 1)] for c in heis.generator_names(g)[1:]}
+        phi = aut.identity_aut(g)
+        for _ in range(rng.randint(1, 5)):
+            kind, idx = rng.choice("ab"), rng.randint(1, g)
+            step = aut.twist_pi1_table(g, kind, idx)
+            table = compose_tables(table, step)
+            phi = phi.compose(aut.twist_aut(g, kind, idx))
+        crossed = aut.morita_crossed_hom(g, table)
+        assert crossed.delta == block_count_delta(g, table)
+        assert crossed == phi
+
+
+def test_crossed_hom_rejects_bad_letters_in_order():
+    # a u letter multiplies out, but never reaches delta without an error
+    with pytest.raises(ValueError, match="bad letter 'u'"):
+        aut.morita_crossed_hom(1, {"a1": [("a1", 1), ("u", 1)], "b1": [("b1", 1)]})
+    with pytest.raises(ValueError, match="bad letter 'a'"):
+        aut.morita_crossed_hom(1, {"a1": [("a", 1)], "b1": [("u", 3), ("b1", 1)]})
+    # unknown generators first, then the symplectic check, then the letters
+    with pytest.raises(ValueError, match="unknown generator"):
+        aut.morita_crossed_hom(1, {"a1": [("u", 1)], "b1": [("x1", 1)]})
+    with pytest.raises(ValueError, match="not symplectic"):
+        aut.morita_crossed_hom(1, {"a1": [("u", 1)], "b1": [("b1", 1)]})
 
 
 def test_crossed_hom_matches_twists():

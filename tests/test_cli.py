@@ -122,6 +122,14 @@ def test_morita_d_word(capsys):
     assert out == "2\n"
 
 
+def test_morita_d_huge_exponent(capsys):
+    # the word is read once; exponents are never expanded into letters
+    t0 = time.perf_counter()
+    code, out = run(capsys, "morita", "--d", "1", "--word", "a1^1000000000 b1")
+    assert (code, out) == (0, "1000000000\n")
+    assert time.perf_counter() - t0 < 1.0
+
+
 @pytest.mark.parametrize("argv", [["morita", "--bounding-pair"],
                                   ["schrodinger", "--N", "3"], ["verify"]])
 def test_format_flags_only_where_rendered(argv):

@@ -45,6 +45,26 @@ def test_basis_enumerate_n2_order_genus3():
     assert rm.basis_enumerate(3, 3) == sorted(rm.basis_enumerate(3, 3), reverse=True)
 
 
+def recursive_basis_enumerate(g, n):
+    """Reference weak compositions of n into 2g parts, built slot by slot with
+    the largest first entry first, then the n = 2 block sort."""
+    def recurse(remaining, slots):
+        if slots == 1:
+            return [(remaining,)]
+        return [(c,) + rest for c in range(remaining, -1, -1)
+                for rest in recurse(remaining - c, slots - 1)]
+    out = recurse(n, 2 * g)
+    if n == 2:
+        out.sort(key=lambda index: rm._FIRST_HANDLE_ORDER[index[:2]])
+    return out
+
+
+def test_basis_enumerate_matches_recursion():
+    for g in range(1, 6):
+        for n in range(2, 5):
+            assert rm.basis_enumerate(g, n) == recursive_basis_enumerate(g, n), (g, n)
+
+
 def test_twist_matrix_entries():
     Ma, Mb = rm.matrix_Ta(), rm.matrix_Tb()
     assert Ma.entry(0, 1) == parse_poly(1, "u^2 a^-2 b^2")
@@ -75,6 +95,7 @@ def test_braid_relation_identity():
 
 def test_matrix_TaTbTa_entries():
     A = rm.matrix_TaTbTa()
+    assert A.entries == rm.fixture_matrix("action_aba").entries
     assert A.entry(0, 0).is_zero()
     assert A.entry(2, 2) == parse_poly(1, "u^-1 a^-1 b")
     assert A.entry(1, 1) == parse_poly(1, "1 + (u^-3 - u^-2) a^-1 - u^-5 a^-2")
@@ -99,6 +120,20 @@ def test_boundary_twist():
         1, "u^-8 b^2 + u^-4 a^-2 - u a^-2 b^2 + (u^-1 - u^-2) a^-2 b "
            "+ (u^-3 - u^-4) a^-1 b^2 + (u^-4 - u^-5) a^-1 b")
     assert rm.is_specialized_identity(rm.specialize_matrix(Md, "moriyama"))
+
+
+def test_boundary_twist_folds_aba_once(monkeypatch):
+    # Ta Tb Ta (2 twisted compositions), then its fourth power (3)
+    calls = []
+    honest = rm.compose_twisted
+
+    def counted(*args):
+        calls.append(args)
+        return honest(*args)
+
+    monkeypatch.setattr(rm, "compose_twisted", counted)
+    rm.matrix_boundary_twist()
+    assert len(calls) == 5
 
 
 def test_separating_twist():

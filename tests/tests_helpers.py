@@ -27,6 +27,47 @@ def reference_twist_aut(genus, kind, index=1):
     return aut.HeisAutomorphism(genus, tuple(delta), tuple(tuple(r) for r in S))
 
 
+def block_count_morita_d(i, word):
+    """Reference handle-i self-linking count, Morita's block formula: project
+    the word to (a_i, b_i), free-reduce it, split it into single letters, then
+    greedily into blocks a_i^nu b_i^mu with nu, mu in {-1, 0, 1}, and return
+    sum_{j,k} iota_{jk} nu_j mu_k with iota_{jk} = +1 for j <= k, -1 otherwise.
+    Quadratic in the number of letters: short words only."""
+    target_a, target_b = f"a{i}", f"b{i}"
+    for name, _ in word:
+        if not (name[0] in "ab" and name[1:].isdigit()):
+            raise ValueError(f"bad letter {name!r} in free-group word")
+    reduced = []
+    for name, exp in word:
+        if name not in (target_a, target_b) or exp == 0:
+            continue
+        if reduced and reduced[-1][0] == name:
+            merged = reduced.pop()[1] + exp
+            if merged:
+                reduced.append((name, merged))
+        else:
+            reduced.append((name, exp))
+    letters = [(name, 1 if exp > 0 else -1) for name, exp in reduced
+               for _ in range(abs(exp))]
+    nus, mus = [], []
+    pos = 0
+    while pos < len(letters):
+        if letters[pos][0] == target_a:
+            nus.append(letters[pos][1])
+            pos += 1
+            if pos < len(letters) and letters[pos][0] == target_b:
+                mus.append(letters[pos][1])
+                pos += 1
+            else:
+                mus.append(0)
+        else:
+            nus.append(0)
+            mus.append(letters[pos][1])
+            pos += 1
+    return sum((1 if j <= k else -1) * nu * mu
+               for j, nu in enumerate(nus) for k, mu in enumerate(mus))
+
+
 def random_twist_aut(rng, genus):
     """Random composite of standard twists and an inner automorphism."""
     phi = aut.identity_aut(genus)
