@@ -136,7 +136,8 @@ def inner_witness(phi):
 
 def _check_letters(word):
     for name, _ in word:
-        if not (name[0] in "ab" and name[1:].isdigit()):
+        m = heis.LETTER.fullmatch(name)
+        if not (m and m.group(2)):
             raise ValueError(f"bad letter {name!r} in free-group word")
 
 

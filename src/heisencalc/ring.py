@@ -2,22 +2,21 @@
 
 A polynomial is stored as its coordinate fibres {coords: {k: nonzero int}}.
 One kernel multiplies in the group ring, in its quotients (_fibre_mul) and
-in matrix products (fibre_mat_mul): omega and the coordinate sum are
-computed once per pair of fibres, and the u-exponents convolve by Kronecker
-substitution u -> 2^(8 width):
+in matrix products (fibre_mat_mul), with each term (k, x) an integer key:
 
-- packing: a fibre is cut into runs, and the terms c u^k of a run from lo
-  become one integer, the sum of c 2^(8 width (k - lo));
-- product: a pair of runs costs one integer product; products for one
-  output fibre are added while packed, keyed by their lowest k, summed
-  into runs and unpacked once (a matrix entry sums all its products so);
-- slot width: width bytes (1, 2, 4, 8, or beyond 8 as many as needed) with
+- packing: a fibre is cut where it skips more than _GAP slots, and the
+  terms c u^k of a piece of at least _MIN_RUN terms from lo become one
+  integer, the sum of c 2^(8 width (k - lo)) (Kronecker substitution), with
   L1(left) L1(right) < 2^(8 width - 1), which bounds every slot of every
-  partial sum, so signed slots decode exactly for coefficients of any size;
-- runs: a fibre is cut where it skips more than _GAP slots, and pieces of
-  fewer than _MIN_RUN terms stay single terms; output sums are sorted by
-  their lowest k and added into runs that skip at most _GAP slots.  No
-  packed integer spans more than O(terms) slots, whatever the u-span.
+  partial sum; other terms stay single;
+- keys: the key of a run is lo 2^top plus the coordinates in fixed biased
+  slots below top, so (k, x)(l, y) has the key key(x, k) + key(y, l) +
+  omega(x, y) 2^top, and a pair of runs costs one product and one sum.
+  omega against every run of the operand of more fibres is computed once
+  per fibre of the other, from columns of that operand's dual coordinates;
+- output: products are summed while packed under their keys, grouped by
+  coordinates, summed into runs and unpacked once per run, and the
+  coordinates of all output fibres decoded at once.
 
 A single-term operand translates the other's fibres instead.  The module
 also provides the three specialization homomorphisms (to Z[u]/(u^2-1), to
@@ -75,10 +74,10 @@ def _add_fibres(left, right):
     return out
 
 
-# Slot formats of the packed kernel by slot width in bytes, for writing and
-# reading packed slots through a memoryview (native order, so little-endian
+# Signed slot formats by slot width in bytes, for writing and reading
+# packed runs and keys through a memoryview (native order, so little-endian
 # hosts only; other widths and hosts go slot by slot).
-_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
+_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
 
 # A packed run never skips more than this many empty slots in a row.
 _GAP = 8
@@ -94,30 +93,25 @@ def _slot_width(bound):
     return size if size > 8 else 1 << (size - 1).bit_length()
 
 
-def _half(width):
-    """The bytes of 2^(8 width - 1), the slot value that stands for 0."""
-    return bytes(width - 1) + b"\x80"
-
-
 def _bias(n, width):
-    """The packed run of n slots that all hold 2^(8 width - 1)."""
-    return int.from_bytes(_half(width) * n, "little")
+    """The packed run of n slots that all hold 2^(8 width - 1): added, it
+    leaves no slot negative, and XOR then toggles two's complement slots."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
 
 
 def _pack_run(terms, lo, n, width):
     """sum of c 2^(8 width (k - lo)) over the (k, c) in terms, all k in
-    [lo, lo + n): each slot is written 2^(8 width - 1) above its value,
-    and the bias taken off once."""
-    data = bytearray(_half(width) * n)
-    half = 1 << (8 * width - 1)
+    [lo, lo + n): the slots are written in two's complement and the bias
+    put back by XOR (see _bias)."""
+    data, bias = bytearray(n * width), _bias(n, width)
     if width in _FORMATS:
         slots = memoryview(data).cast(_FORMATS[width])
         for k, c in terms:
-            slots[k - lo] = c + half
+            slots[k - lo] = c
     else:
         for k, c in terms:
-            data[(k - lo) * width:(k - lo + 1) * width] = (c + half).to_bytes(width, "little")
-    return int.from_bytes(data, "little") - _bias(n, width)
+            data[(k - lo) * width:(k - lo + 1) * width] = c.to_bytes(width, "little", signed=True)
+    return (int.from_bytes(data, "little") ^ bias) - bias
 
 
 def _cut(f, width):
@@ -136,46 +130,75 @@ def _cut(f, width):
     return runs
 
 
-def _pack(fibres, width):
-    """[(x, runs)] of fibres.  Runs {lo: packed} stand for the terms c u^k
-    with sum of c 2^(8 width (k - lo)) = packed; a single term is a run, so
-    a fibre of fewer than _MIN_RUN terms is its own runs (see _cut)."""
-    return [(x, f if len(f) < _MIN_RUN else _cut(f, width)) for x, f in fibres.items()]
+def _pack(fibres, width, tag=0):
+    """[(x, runs, tag)] of fibres, with tag a key offset (see _mul_into).
+    Runs {lo: packed} stand for the terms c u^k with sum of
+    c 2^(8 width (k - lo)) = packed; single terms stay as they are (see _cut)."""
+    return [(x, f if len(f) < _MIN_RUN else _cut(f, width), tag) for x, f in fibres.items()]
 
 
-def _mul_into(acc, left, right, twisted=True, modulus=0):
-    """Add the product of packed left and right to acc, which maps coords
-    to {lo: packed sum}: (k, x)(l, y) is (k + l + omega(x, y), x + y),
-    without omega unless twisted.  omega and x + y are computed once per
-    pair of fibres, and each pair of runs costs one integer product and
-    one integer sum."""
-    add, mul = operator.add, operator.mul
-    # omega(x, y) is the dot product of x[::2] + x[1::2] with dual(y)
-    right = [(y, y[1::2] + tuple(map(operator.neg, y[::2])), runs.items())
-             for y, runs in right]
-    for x, xruns in left:
-        xs = x[::2] + x[1::2]
-        for y, dual, yruns in right:
-            w = sum(map(mul, xs, dual)) if twisted else 0
-            if modulus:
-                w %= modulus
-            z = tuple(map(add, x, y))
-            sums = acc.get(z)
-            if sums is None:
-                sums = acc[z] = {}
-            for lo, v in xruns.items():
-                lo += w
-                for l0, d in yruns:
-                    sums[lo + l0] = sums.get(lo + l0, 0) + v * d
+def _key_layout(n, coords, tags=0):
+    """(width, shifts, bias, top) of the keys k 2^top + bias + the sum of
+    x_j 2^shifts[j], with n slots of width bytes that hold every x + y over
+    coords and every tag up to tags; bias holds 2^(8 width - 1) in each slot
+    so that keys add slot by slot, and k takes the top, which needs no bound."""
+    width = _slot_width(max(2 * max(map(abs, itertools.chain.from_iterable(coords)), default=0),
+                            tags))
+    return width, range(0, 8 * width * n, 8 * width), _bias(n, width), 8 * width * n
 
 
-def _slots(packed, n, width):
-    """The n slots of a packed run, lowest first, each read as an unsigned
-    integer 2^(8 width - 1) above the signed slot value."""
-    data = (packed + _bias(n, width)).to_bytes(n * width, "little")
+def _mul_into(acc, left, right, layout, twisted=True, modulus=0):
+    """Add the product of packed left and right to acc {key: packed sum}:
+    (k, x)(l, y) = (k + l + omega(x, y), x + y) has the key
+    key(x, k) + key(y, l) + omega(x, y) 2^top, tags included, omega reduced
+    mod a nonzero modulus and left out unless twisted.  The operand of more
+    fibres is flattened into columns, one entry per run: keys, coefficients
+    and the n coordinates of dual(y) 2^top, with omega(x, y) the dot product
+    of x[::2] + x[1::2] and dual(y) (negated for a flat left).  Per fibre x
+    of the other operand, omega against every run is one sum of the columns
+    scaled by the nonzero x_j, and each pair of runs costs one product."""
+    _, shifts, bias, top = layout
+    add, mul, lshift, repeat = operator.add, operator.mul, operator.lshift, itertools.repeat
+    scale = 1 << top if twisted else 0
+    if len(left) > len(right):
+        left, right, scale = right, left, -scale
+    keys, coeffs, duals = [], [], []
+    for y, runs, tag in right:
+        key = sum(map(lshift, y, shifts)) + tag
+        dual = tuple(map(mul, y[1::2] + tuple(map(operator.neg, y[::2])), repeat(scale)))
+        for lo, c in runs.items():
+            keys.append(key + (lo << top))
+            coeffs.append(c)
+            duals.append(dual)
+    duals = list(zip(*duals)) if scale else []
+    get = acc.get
+    for x, runs, tag in left:
+        omegas = None
+        for xj, dual in zip(x[::2] + x[1::2], duals):
+            if xj:
+                scaled = map(mul, dual, repeat(xj))
+                omegas = scaled if omegas is None else map(add, omegas, scaled)
+        if omegas is not None and modulus:
+            omegas = map(operator.mod, omegas, repeat(modulus << top))
+        xkeys = keys if omegas is None else list(map(add, keys, omegas))
+        key = sum(map(lshift, x, shifts)) + bias + tag
+        for lo, v in runs.items():
+            lo = key + (lo << top)
+            for k, d in zip(xkeys, coeffs):
+                k += lo
+                acc[k] = get(k, 0) + v * d
+
+
+def _slots(codes, size, width, bias):
+    """The slots of width bytes of codes of size bytes, lowest first: the
+    codes, unbiased by XOR (see _bias), are written out at once and read back
+    as signed slots (slot by slot past 8 bytes or on other hosts)."""
+    data = b"".join(map(int.to_bytes, map(operator.xor, codes, itertools.repeat(bias)),
+                        itertools.repeat(size), itertools.repeat("little")))
     if width in _FORMATS:
         return memoryview(data).cast(_FORMATS[width]).tolist()
-    return [int.from_bytes(data[i:i + width], "little") for i in range(0, n * width, width)]
+    return [int.from_bytes(data[i:i + width], "little", signed=True)
+            for i in range(0, len(data), width)]
 
 
 def _runs(sums, width):
@@ -196,25 +219,38 @@ def _runs(sums, width):
     return runs
 
 
-def _unpack(acc, width, modulus=0):
-    """Fibres of the sum that acc holds (see _mul_into), every k reduced mod
-    a nonzero modulus.  Where every sum at some coords is one slot, it is
-    its coefficient; else they are added while packed into runs (see
-    _runs), and each run is unpacked once.  Width 0 says that every sum is
-    one slot."""
-    out = {}
+def _unpack(acc, layout, width, modulus=0):
+    """Fibres of the sum that acc holds (see _mul_into): the sums are grouped
+    by coords, each k reduced mod a nonzero modulus, and the sums of more
+    than one slot (width 0: none) added while packed into runs (see _runs),
+    each run unpacked once.  The coords of all fibres are decoded at once."""
+    cwidth, shifts, bias, top = layout
+    mask = (1 << top) - 1
+    fibres = {}
+    for key, v in acc.items():
+        if v:
+            z, k = key & mask, (key >> top) % modulus if modulus else key >> top
+            f = fibres.get(z)
+            if f is None:
+                fibres[z] = {k: v}
+            else:
+                v += f.pop(k, 0)  # only under a modulus is k in f
+                if v:
+                    f[k] = v
     half = 1 << (8 * width - 1) if width else 0
-    for z, sums in acc.items():
-        if width and max(map(abs, sums.values())) >= half:
-            f = {}
-            for lo, hi, total in _runs(sums, width):
-                f.update({k: v - half for k, v in enumerate(_slots(total, hi - lo + 1, width), lo)
-                          if v != half})
-        else:
-            f = {k: c for k, c in sums.items() if c}
-        if f:
-            out[z] = f
-    return _pruned(out, modulus) if modulus else out
+    if width and max(map(abs, acc.values()), default=0) >= half:
+        for z, f in fibres.items():
+            if max(map(abs, f.values()), default=0) >= half:
+                out = {}
+                for lo, hi, total in _runs(f, width):
+                    run_bias = _bias(hi - lo + 1, width)
+                    slots = _slots([total + run_bias], (hi - lo + 1) * width, width, run_bias)
+                    out.update({k: c for k, c in enumerate(slots, lo) if c})
+                fibres[z] = _pruned({z: out}, modulus).get(z, {})
+    coords = (zip(*[iter(_slots(fibres, top // 8, cwidth, bias))] * len(shifts)) if top
+              else [()] * len(fibres))
+    out = dict(zip(coords, fibres.values()))
+    return out if all(fibres.values()) else {x: f for x, f in out.items() if f}
 
 
 def _l1_norm(fibres):
@@ -254,36 +290,43 @@ def _fibre_mul(left, right, twisted=True, modulus=0):
     term = _single(right)
     if term:
         return _translated(term, left, False, twisted, modulus)
+    layout = _key_layout(len(next(iter(left))), itertools.chain(left, right))
+    # with no fibre to pack, every sum is one slot
+    width = (_slot_width(_l1_norm(left) * _l1_norm(right))
+             if max(map(len, itertools.chain(left.values(), right.values()))) >= _MIN_RUN else 0)
     acc = {}
-    if max(map(len, itertools.chain(left.values(), right.values()))) < _MIN_RUN:
-        # no fibre to pack, so every sum is one slot
-        _mul_into(acc, left.items(), right.items(), twisted, modulus)
-        return _unpack(acc, 0, modulus)
-    width = _slot_width(_l1_norm(left) * _l1_norm(right))
-    _mul_into(acc, _pack(left, width), _pack(right, width), twisted, modulus)
-    return _unpack(acc, width, modulus)
+    _mul_into(acc, _pack(left, width), _pack(right, width), layout, twisted, modulus)
+    return _unpack(acc, layout, width, modulus)
 
 
 def fibre_mat_mul(a_rows, b_rows):
     """Entries of a matrix product over the fibres of its nonzero entries:
     a_rows and b_rows list each row's nonzero (column, fibres), and each
-    row of the result is {column: fibres}.  The entries of b_rows are
-    packed once, and each entry of the result is one packed sum of
-    products, unpacked once."""
+    row of the result is {column: fibres}.  The product is one sum over k
+    of column k of A times row k of B (see _mul_into), with each entry's
+    row i or column j tagged in two slots past the coordinates, so that
+    the terms at (i, j) sum to entry (i, j); the sum is unpacked once."""
+    entries = [f for row in a_rows + b_rows for _, f in row]
+    n = len(next(iter(entries[0]))) if entries else 0
+    last = max((j for row in b_rows for j, _ in row), default=0)
+    layout = _key_layout(n + 2, itertools.chain.from_iterable(entries), max(len(a_rows), last))
     # no slot of any entry's sum exceeds this bound in absolute value
     bound = (max((sum(_l1_norm(f) for _, f in row) for row in a_rows), default=0)
              * max((_l1_norm(f) for row in b_rows for _, f in row), default=0))
     width = _slot_width(bound)
-    b_rows = [[(j, _pack(f, width)) for j, f in row] for row in b_rows]
-    out = []
-    for a_row in a_rows:
-        sums = {}
-        for k, f in a_row:
-            if b_rows[k]:
-                packed = _pack(f, width)
-                for j, b in b_rows[k]:
-                    _mul_into(sums.setdefault(j, {}), packed, b)
-        out.append({j: _unpack(acc, width) for j, acc in sums.items()})
+    row_tag, column_tag = layout[1][n:]
+    a_columns = [[] for _ in b_rows]
+    for i, row in enumerate(a_rows):
+        for k, f in row:
+            a_columns[k] += _pack(f, width, i << row_tag)
+    acc = {}
+    for column, row in zip(a_columns, b_rows):
+        if column and row:
+            _mul_into(acc, column, [t for j, f in row for t in _pack(f, width, j << column_tag)],
+                      layout)
+    out = [{} for _ in a_rows]
+    for x, f in _unpack(acc, layout, width).items():
+        out[x[n]].setdefault(x[n + 1], {})[x[:n]] = f
     return out
 
 
@@ -426,7 +469,7 @@ class HeisPolynomial:
 MAX_POWER = 16
 # Most term pairs one parsed product may multiply (a juxtaposition, a mul
 # operand, a step of (expr)^n); the slowest admitted step, 6528 x 30
-# scattered terms at genus 16, takes about 0.9 s (2-core Xeon).
+# scattered terms at genus 16, takes about 1.3 s (2-core Xeon VM).
 MAX_POWER_STEP = 200_000
 
 

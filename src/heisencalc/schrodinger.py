@@ -107,15 +107,17 @@ def _compose(x, y):
     return np.take_along_axis(col_y, col_x, -1), ph_x * np.take_along_axis(ph_y, col_x, -1)
 
 
-def _products_ok(N, g, x, y, xy, tol):
+def _products_ok(N, g, x, y, xy, tol, table=None):
     """Per row of x, y and xy (packed elements), whether pi(x) pi(y) = pi(xy)
-    on the monomial form: the same columns, and phases within tol."""
+    on the monomial form: the same columns, and phases within tol.  With a
+    table of rows (column, phase), x and y are indices into it instead."""
     ok = np.empty(len(x), dtype=bool)
     # pairs per pass: about 2^10 (pair, state) entries, so the arrays stay small
     step = max(1, 2 ** 10 // N ** g)
     for i in range(0, len(x), step):
         rows = slice(i, i + step)
-        col, ph = _compose(_rows(N, g, x[rows]), _rows(N, g, y[rows]))
+        col, ph = _compose(*[_rows(N, g, f[rows]) if table is None
+                             else tuple(t[f[rows]] for t in table) for f in (x, y)])
         col_xy, ph_xy = _rows(N, g, xy[rows])
         ok[rows] = (col == col_xy).all(1) & (np.abs(ph - ph_xy) < tol).all(1)
     return ok
@@ -140,8 +142,8 @@ def verify_schrodinger_rep(N, g, tol=1e-10, rng=None):
     unitary = ((np.sort(col, 1) == np.arange(N ** g)).all(1)
                & (np.abs(np.abs(ph) ** 2 - 1) < tol).all(1))
     left, right = np.divmod(np.arange(len(gens) ** 2), len(gens))
-    hom = _products_ok(N, g, x[left], x[right],
-                       _pack(N, [x1 * x2 for _, x1 in gens for _, x2 in gens]), tol)
+    hom = _products_ok(N, g, left, right,
+                       _pack(N, [x1 * x2 for _, x1 in gens for _, x2 in gens]), tol, (col, ph))
     # A B A^-1 B^-1 = c I as A B = c B A, every handle at once (a_i, b_i: rows 2i-1, 2i)
     A, B = (col[1::2], ph[1::2]), (col[2::2], ph[2::2])
     (col_ab, ph_ab), (col_ba, ph_ba) = _compose(A, B), _compose(B, A)

@@ -122,6 +122,15 @@ def test_morita_d_word(capsys):
     assert out == "2\n"
 
 
+@pytest.mark.parametrize("argv", [["mul", "--plain", "a01 b1"], ["phi", "--plain", "a01 b1"],
+                                  ["mul", "--genus", "2", "a1 b02"],
+                                  ["morita", "--d", "1", "--word", "a01 b1"],
+                                  ["morita", "--d", "1", "--word", "a1 b001"]])
+def test_letter_index_with_leading_zero_refused(capsys, argv):
+    # every reader of a word letter refuses a01, which is not a1 under another name
+    assert one_line_error(capsys, *argv)
+
+
 def test_morita_d_huge_exponent(capsys):
     # the word is read once; exponents are never expanded into letters
     t0 = time.perf_counter()

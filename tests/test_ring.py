@@ -366,6 +366,91 @@ def test_mat_mul_matches_dense_by_shape(case, rng):
     assert all(_stored_canonically(p) for row in product for p in row)
 
 
+@st.composite
+def key_slot_operands(draw, n, count):
+    """count fibres {coords: {k: c}} with n coordinates, over a few
+    coordinate tuples that mix 0 and +-1 with values up to a top of at most
+    2^40, or of 2^(8 w - 2) for slots of w = 1, 2, 4, 8 bytes, whose double
+    just needs the next width (or 2^66, past 8 bytes); k near 0 or up to
+    +-2^70, and coefficients that pack into 1-byte to 11-byte slots."""
+    top = draw(st.one_of(st.integers(2, 2 ** 40),
+                         st.sampled_from([2 ** 6, 2 ** 14, 2 ** 30, 2 ** 62, 2 ** 66])))
+    coord = st.one_of(st.sampled_from([0, 1, -1, top, -top]), st.integers(-top, top))
+    xs = draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=4))
+    k = st.one_of(st.integers(-6, 6), st.integers(-2 ** 70, 2 ** 70))
+    c = st.one_of(st.integers(-3, 3), st.integers(-2 ** 40, 2 ** 40))
+    terms = st.lists(st.tuples(st.sampled_from(xs), k, c), max_size=14)
+    return [_summed(draw(terms)) for _ in range(count)]
+
+
+def _summed(terms, modulus=0):
+    """Fibres of the sum of the terms (coords, k, c), each k reduced mod a
+    nonzero modulus."""
+    fibres = {}
+    for x, k, c in terms:
+        f = fibres.setdefault(x, {})
+        k = k % modulus if modulus else k
+        f[k] = f.get(k, 0) + c
+    fibres = {x: {k: c for k, c in f.items() if c} for x, f in fibres.items()}
+    return {x: f for x, f in fibres.items() if f}
+
+
+# (coordinates, kernel parameters): the full ring at genus 1-3 and 16, and
+# each quotient as SpecializedPolynomial multiplies in it (moriyama's placed
+# terms have no coordinates)
+kernel_cases = st.one_of(
+    st.tuples(st.sampled_from([2, 4, 6, 32]), st.just((True, 0))),
+    st.just((0, (False, 2))),
+    st.tuples(st.sampled_from([2, 4, 6]), st.just((False, 0))),
+    st.tuples(st.sampled_from([2, 4, 6]), st.integers(1, 7).map(lambda N: (True, N))))
+
+
+@given(kernel_cases.flatmap(lambda case: st.tuples(st.just(case[1]),
+                                                   key_slot_operands(case[0], 3))))
+@settings(max_examples=300, deadline=None)
+def test_key_slots_match_loop_reference(case):
+    """Integer keys against the term-pair loop: coordinate slots at every
+    width, k far beyond any slot, omega of either sign reduced mod N, and
+    terms whose sums cancel."""
+    (twisted, modulus), (p, q, r) = case
+    neg = {x: {k: -c for k, c in f.items()} for x, f in p.items()}
+    for x, y in ((p, q), (q, p), (p, r), (p, p), (p, neg), (neg, p)):
+        want = loop_fibre_mul(x, y, twisted, modulus)
+        assert ring._fibre_mul(x, y, twisted, modulus) == want
+        if modulus:
+            # placed operands, each k already reduced
+            x, y = (_summed(((z, k, c) for z, f in o.items() for k, c in f.items()), modulus)
+                    for o in (x, y))
+            assert ring._fibre_mul(x, y, twisted, modulus) == want
+
+
+@given(st.sampled_from([1, 2, 3, 16]).flatmap(
+    lambda g: st.tuples(st.just(g), key_slot_operands(2 * g, 12))))
+@settings(max_examples=60, deadline=None)
+def test_mat_mul_key_slots_match_dense(case):
+    """A 2x3 times 3x2 product, row and column tags included, against the
+    product of every pair of entries by the loop reference."""
+    genus, fibres = case
+    polys = [HeisPolynomial._of(genus, f) for f in fibres]
+    ident = aut.identity_aut(genus)
+    A = rm.RepMatrix(genus, (tuple(polys[0:3]), tuple(polys[3:6])), ident)
+    B = rm.RepMatrix(genus, (tuple(polys[6:8]), tuple(polys[8:10]), tuple(polys[10:12])), ident)
+    assert rm.mat_mul(A, B) == dense_mat_mul(A, B)
+
+
+def test_mat_mul_tags_past_one_byte():
+    """Row and column indices past 127 widen the slots of small coordinates:
+    200 x 1 times 1 x 2, and 2 x 1 times 1 x 200."""
+    ident = aut.identity_aut(1)
+    entries = [parse_poly(1, f"{i % 5 + 1} a - u^{i} b + 1") for i in range(200)]
+    tall = rm.RepMatrix(1, tuple((p,) for p in entries), ident)
+    wide = rm.RepMatrix(1, (tuple(entries),), ident)
+    row = rm.RepMatrix(1, ((entries[7], entries[199]),), ident)
+    column = rm.RepMatrix(1, ((entries[7],), (entries[199],)), ident)
+    for A, B in ((tall, row), (column, wide)):
+        assert rm.mat_mul(A, B) == dense_mat_mul(A, B)
+
+
 @pytest.mark.parametrize("scale", [1, 2 ** 3, 2 ** 12, 2 ** 28, 2 ** 60, 2 ** 100])
 def test_every_slot_width(scale):
     """Products whose coefficient bound needs 1, 2, 4, 8 and more than 8
