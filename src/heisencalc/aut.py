@@ -11,7 +11,6 @@ automorphisms and their witnesses, and ships the standard twist actions on
 pi_1 as built-in tables.
 """
 
-from dataclasses import dataclass
 import functools
 
 from . import heis
@@ -30,18 +29,17 @@ def is_symplectic(S, genus):
                for i in range(n) for j in range(i + 1, n))
 
 
-@dataclass(frozen=True)
-class HeisAutomorphism:
-    genus: int
-    delta: tuple  # values of delta on a1, b1, ..., ag, bg
-    S: tuple      # 2g x 2g integer matrix, rows as tuples
+class HeisAutomorphism(heis.Record):
+    # delta: its values on a1, b1, ..., ag, bg; S: 2g x 2g integer rows
+    __slots__ = ("genus", "delta", "S")
 
-    def __post_init__(self):
-        n = 2 * self.genus
-        if len(self.delta) != n or len(self.S) != n or any(len(r) != n for r in self.S):
+    def __init__(self, genus, delta, S):
+        n = 2 * genus
+        if len(delta) != n or len(S) != n or any(len(r) != n for r in S):
             raise ValueError("dimension mismatch in automorphism data")
-        if not is_symplectic(self.S, self.genus):
+        if not is_symplectic(S, genus):
             raise ValueError("S is not symplectic")
+        self._init(genus, delta, S)
 
     def apply(self, x):
         if x.genus != self.genus:
@@ -137,7 +135,7 @@ def inner_witness(phi):
 def _check_letters(word):
     for name, _ in word:
         m = heis.LETTER.fullmatch(name)
-        if not (m and m.group(2)):
+        if not m or m.group(2) in (None, "0"):  # handles count from 1
             raise ValueError(f"bad letter {name!r} in free-group word")
 
 
@@ -155,6 +153,8 @@ def morita_d(i, word):
     has nu-prefix P, counting its paired a, and V - P is the nu left after
     it.  The sum does not change under free reduction, so none is needed.
     """
+    if i < 1:
+        raise ValueError(f"handle index must be >= 1, got {i}")
     _check_letters(word)
     handle = (f"a{i}", f"b{i}")
     return heis.from_word(1, [(name[0], exp) for name, exp in word

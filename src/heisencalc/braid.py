@@ -7,7 +7,6 @@ and a_j, b_j to the corresponding Heisenberg lifts.  verify_bellingeri checks
 that phi respects every instance of the defining relations of the group.
 """
 
-from dataclasses import dataclass
 import re
 
 from . import heis
@@ -24,27 +23,22 @@ def check_strands(strands):
         raise ValueError(f"strands must be in 2..{MAX_STRANDS}, got {strands}")
 
 
-@dataclass(frozen=True)
-class BraidWord:
-    genus: int
-    strands: int
-    letters: tuple  # sequence of (generator name, exponent)
+class BraidWord(heis.Record):
+    __slots__ = ("genus", "strands", "letters")  # letters: (name, exponent) pairs
 
-    def __post_init__(self):
-        if self.strands < 2:
+    def __init__(self, genus, strands, letters):
+        if strands < 2:
             raise ValueError("need at least 2 strands")
-        for name, _ in self.letters:
-            self._check_name(name)
-
-    def _check_name(self, name):
-        m = re.fullmatch(r"([sab])(\d+)", name)
-        if not m:
-            raise ValueError(f"unknown braid generator {name!r}")
-        kind, idx = m.group(1), int(m.group(2))
-        if kind == "s" and not 1 <= idx <= self.strands - 1:
-            raise ValueError(f"{name!r} out of range for {self.strands} strands")
-        if kind in "ab" and not 1 <= idx <= self.genus:
-            raise ValueError(f"{name!r} out of range for genus {self.genus}")
+        for name, _ in letters:
+            m = re.fullmatch(r"([sab])(\d+)", name)
+            if not m:
+                raise ValueError(f"unknown braid generator {name!r}")
+            kind, idx = m.group(1), int(m.group(2))
+            if kind == "s" and not 1 <= idx <= strands - 1:
+                raise ValueError(f"{name!r} out of range for {strands} strands")
+            if kind in "ab" and not 1 <= idx <= genus:
+                raise ValueError(f"{name!r} out of range for genus {genus}")
+        self._init(genus, strands, letters)
 
     def __mul__(self, other):
         if (self.genus, self.strands) != (other.genus, other.strands):

@@ -5,6 +5,10 @@ default; on the commands that render group elements or sums, --plain gives
 the human-readable word-form rendering and --latex the display-math
 rendering of matrices and sums.  Exit codes: 0 success, 1 domain
 error (bad input values, failed verification), 2 usage error.
+
+Each command imports the modules it runs inside its own function, so a
+fresh process compiles only those, and only schrodinger and verify --all
+load numpy.
 """
 
 import argparse
@@ -13,7 +17,7 @@ import json
 import math
 import sys
 
-from . import aut, braid, heis, pairing, repmatrix, ring
+from . import heis
 
 
 def _add_format_flags(sp):
@@ -28,47 +32,24 @@ def _emit_poly(p, fmt):
     if fmt == "json":
         print(json.dumps(p.to_json()))
     elif fmt == "latex":
+        from . import repmatrix
         print(repmatrix.poly_latex(p))
     else:
         print(str(p))
 
 
-def _emit_specialized(p, name, fmt):
-    s = ring.specialize(p, ring.quotient(name))
-    if fmt == "json":
-        print(json.dumps(s.terms))
-    else:
-        print(str(s))
-
-
-def _emit_matrix(M, args):
-    if args.specialize:
-        rows = repmatrix.specialize_matrix(M, args.specialize)
-        if args.fmt == "json":
-            print(json.dumps({"rows": M.rows, "cols": M.cols,
-                              "entries": [[str(p) for p in row] for row in rows]}))
-        else:
-            for row in rows:
-                print("[" + ", ".join(str(p) for p in row) + "]")
-        return
-    if args.fmt == "json":
-        print(json.dumps(M.to_json()))
-    elif args.fmt == "latex":
-        print(repmatrix.matrix_latex(M))
-    else:
-        print(str(M))
-
-
 BUILTIN_MATRICES = {
-    "ta": lambda genus: repmatrix.matrix_Ta(),
-    "tb": lambda genus: repmatrix.matrix_Tb(),
-    "aba": lambda genus: repmatrix.matrix_TaTbTa(),
-    "boundary": lambda genus: repmatrix.matrix_boundary_twist(),
-    "separating": lambda genus: repmatrix.matrix_separating_twist(genus),
+    "ta": lambda rm, genus: rm.matrix_Ta(),
+    "tb": lambda rm, genus: rm.matrix_Tb(),
+    "aba": lambda rm, genus: rm.matrix_TaTbTa(),
+    "boundary": lambda rm, genus: rm.matrix_boundary_twist(),
+    "separating": lambda rm, genus: rm.matrix_separating_twist(genus),
 }
 
 
 def cmd_phi(args):
+    from . import braid
+    braid.check_strands(args.strands)
     w = braid.BraidWord.parse(args.genus, args.strands, args.word)
     x = braid.phi(w)
     if args.fmt == "json":
@@ -77,17 +58,19 @@ def cmd_phi(args):
         print(x.word_str())
 
 
-def cmd_mul(args):
+def cmd_mul(args):  # specialize EXPR is mul with one operand
+    from . import ring
     result = ring.parse_poly(args.genus, args.exprs[0])
     for text in args.exprs[1:]:
         result = ring.bounded_product(result, ring.parse_poly(args.genus, text))
-    if args.specialize:
-        _emit_specialized(result, args.specialize, args.fmt)
-    else:
-        _emit_poly(result, args.fmt)
+    if not args.specialize:
+        return _emit_poly(result, args.fmt)
+    s = ring.specialize(result, ring.quotient(args.specialize))
+    print(json.dumps(s.terms) if args.fmt == "json" else s)
 
 
 def cmd_aut(args):
+    from . import aut
     if args.twist:
         phi = aut.twist_aut(args.genus, args.twist, args.index)
     elif args.inner is not None:
@@ -108,6 +91,7 @@ def cmd_aut(args):
 
 
 def cmd_morita(args):
+    from . import aut
     if args.d is not None:
         print(aut.morita_d(args.d, heis.parse_word(args.word)))
         return 0
@@ -121,17 +105,28 @@ def cmd_morita(args):
 
 
 def cmd_compose(args):
+    from . import repmatrix
     names = args.names if args.cmd == "compose" else [args.name]  # matrix NAME
-    mats = [BUILTIN_MATRICES[name](args.genus) for name in names]
-    _emit_matrix(functools.reduce(repmatrix.compose_twisted, mats), args)
-
-
-def cmd_specialize(args):
-    _emit_specialized(ring.parse_poly(args.genus, args.expr), args.specialize,
-                      args.fmt)
+    mats = [BUILTIN_MATRICES[name](repmatrix, args.genus) for name in names]
+    M = functools.reduce(repmatrix.compose_twisted, mats)
+    if args.specialize:
+        rows = repmatrix.specialize_matrix(M, args.specialize)
+        if args.fmt == "json":
+            print(json.dumps({"rows": M.rows, "cols": M.cols,
+                              "entries": [[str(p) for p in row] for row in rows]}))
+        else:
+            for row in rows:
+                print("[" + ", ".join(str(p) for p in row) + "]")
+    elif args.fmt == "json":
+        print(json.dumps(M.to_json()))
+    elif args.fmt == "latex":
+        print(repmatrix.matrix_latex(M))
+    else:
+        print(str(M))
 
 
 def cmd_pairing(args):
+    from . import pairing
     if args.fixture:
         with open(args.fixture) as fh:
             data = json.load(fh)
@@ -147,7 +142,7 @@ def cmd_pairing(args):
 
 
 def cmd_schrodinger(args):
-    from . import schrodinger  # numpy: only the numerical commands load it
+    from . import aut, schrodinger  # numpy: only the numerical commands load it
     if args.element:
         h = heis.parse_element(args.genus, args.element)
         U = schrodinger.schrodinger_matrix(args.N, args.genus, h)
@@ -171,10 +166,12 @@ def cmd_schrodinger(args):
 
 
 def cmd_verify(args):
+    from . import braid
+    braid.check_strands(args.strands)
     checks = heis.verify_presentation(args.genus)
     checks.extend(braid.verify_bellingeri(args.genus, args.strands))
     if args.all:
-        from . import schrodinger
+        from . import repmatrix, schrodinger
         left, right = repmatrix.braid_composites()
         fixture = repmatrix.fixture_matrix("action_aba")
         checks.append(("braid identity", left.entries == right.entries))
@@ -258,9 +255,9 @@ def build_parser():
     sp = sub.add_parser("specialize", help="specialize a group ring expression")
     sp.add_argument("--genus", type=int, default=1)
     sp.add_argument("--specialize", required=True)
-    sp.add_argument("expr")
+    sp.add_argument("exprs", nargs=1, metavar="expr")
     _add_format_flags(sp)
-    sp.set_defaults(fn=cmd_specialize)
+    sp.set_defaults(fn=cmd_mul)
 
     sp = sub.add_parser("pairing", help="evaluate intersection pairing data")
     sp.add_argument("--genus", type=int, default=1)
@@ -296,8 +293,6 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         heis.check_genus(args.genus)
-        if "strands" in vars(args):
-            braid.check_strands(args.strands)
         code = args.fn(args)
     # RecursionError: input nested too deeply for the parsers
     except (ValueError, ArithmeticError, OSError, RecursionError) as exc:

@@ -12,10 +12,10 @@ u^kappa a_1^{l_1} b_1^{m_1} ... a_g^{l_g} b_g^{m_g} is a derived view, with
 kappa = k - sum_i l_i m_i.
 """
 
-from dataclasses import dataclass
 import functools
 import operator
 import re
+import types
 
 # Largest genus the command line accepts; at genus 16 the separating twist
 # matrix (528 x 528) builds and renders in about 0.6 s, and its square
@@ -44,18 +44,68 @@ def quadratic(coords):
     return sum(map(operator.mul, coords[::2], coords[1::2]))
 
 
-@dataclass(frozen=True)
-class HeisElement:
-    genus: int
-    k: int
-    coords: tuple
+_set = object.__setattr__
 
-    def __post_init__(self):
-        if self.genus < 1:
+
+class Record:
+    """Base of the immutable value classes: the fields are __slots__, set once
+    by __init__ through _init.  Instances equal and hash by the values of
+    _fields (default: all of them), only within one class; repr shows those."""
+    __slots__ = ()
+
+    def _init(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            _set(self, name, value)
+
+    def __init_subclass__(cls):
+        cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+        cls._key = operator.attrgetter(*cls._fields)
+        # what dataclasses.replace(record, name=value) reads of each field
+        cls.__dataclass_fields__ = {name: types.SimpleNamespace(
+            name=name, init=True, _field_type=None) for name in cls.__slots__}
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class HeisElement(Record):
+    """(k, coords) at a genus; __init__, == and hash are written out for speed."""
+    __slots__ = ("genus", "k", "coords")
+
+    def __init__(self, genus, k, coords):
+        if genus < 1:
             raise ValueError("genus must be >= 1")
-        if len(self.coords) != 2 * self.genus:
-            raise ValueError(
-                f"expected {2 * self.genus} coordinates, got {len(self.coords)}")
+        if len(coords) != 2 * genus:
+            raise ValueError(f"expected {2 * genus} coordinates, got {len(coords)}")
+        _set(self, "genus", genus)
+        _set(self, "k", k)
+        _set(self, "coords", coords)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # equal coordinates have one length, so one genus
+        return self.k == other.k and self.coords == other.coords
+
+    def __hash__(self):
+        return hash((self.genus, self.k, self.coords))
 
     def _check(self, other):
         if self.genus != other.genus:

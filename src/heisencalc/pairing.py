@@ -12,26 +12,21 @@ extra global -1 coming from the orientation conventions on configuration
 spaces, so it computes the negative of the first.
 """
 
-from dataclasses import dataclass
-
-from . import braid
+from . import braid, heis
 from .braid import BraidWord
 from .ring import HeisPolynomial
 
 
-@dataclass(frozen=True)
-class IntersectionRecord:
-    sgn_p1: int
-    sgn_p2: int
-    sgn_loop: int
-    loop: BraidWord
+class IntersectionRecord(heis.Record):
+    __slots__ = ("sgn_p1", "sgn_p2", "sgn_loop", "loop")
 
-    def __post_init__(self):
-        for s in (self.sgn_p1, self.sgn_p2, self.sgn_loop):
+    def __init__(self, sgn_p1, sgn_p2, sgn_loop, loop):
+        for s in (sgn_p1, sgn_p2, sgn_loop):
             if type(s) is not int or s not in (1, -1):
                 raise ValueError("signs must be +1 or -1")
-        if self.loop.strands != 2:
+        if loop.strands != 2:
             raise ValueError("loops live in the two-point configuration space")
+        self._init(sgn_p1, sgn_p2, sgn_loop, loop)
 
     @classmethod
     def from_json(cls, genus, data):

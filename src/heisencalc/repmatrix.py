@@ -15,34 +15,29 @@ module (basis w(a), w(b), v(a,b)), the boundary twist computed as a 4-fold
 shifted product, and the higher genus separating twist in block form.
 """
 
-from dataclasses import dataclass
 import functools
-import importlib.resources
 import itertools
-import json
 
-from . import aut, ring
-from .aut import HeisAutomorphism
+from . import aut, heis, ring
 from .heis import HeisElement
 from .ring import HeisPolynomial
 
 
-@dataclass(frozen=True)
-class RepMatrix:
-    genus: int
-    entries: tuple  # rows of tuples of HeisPolynomial
-    source_twist: HeisAutomorphism
+class RepMatrix(heis.Record):
+    # entries: rows of tuples of HeisPolynomial; source_twist: HeisAutomorphism
+    __slots__ = ("genus", "entries", "source_twist")
 
-    def __post_init__(self):
-        if self.source_twist.genus != self.genus:
+    def __init__(self, genus, entries, source_twist):
+        if source_twist.genus != genus:
             raise ValueError("twist genus mismatch")
-        cols = len(self.entries[0]) if self.entries else 0
-        for row in self.entries:
+        cols = len(entries[0]) if entries else 0
+        for row in entries:
             if len(row) != cols:
                 raise ValueError("ragged matrix")
             for p in row:
-                if p.genus != self.genus:
+                if p.genus != genus:
                     raise ValueError("entry genus mismatch")
+        self._init(genus, entries, source_twist)
 
     @property
     def rows(self):
@@ -212,6 +207,8 @@ def basis_enumerate(g, n):
 # ---------------------------------------------------------------------------
 
 def _load_fixture():
+    import importlib.resources  # only the fixture matrices need these two
+    import json
     text = (importlib.resources.files("heisencalc")
             .joinpath("fixtures/twist_matrices.json").read_text())
     return json.loads(text)

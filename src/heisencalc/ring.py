@@ -25,7 +25,6 @@ applied once per fibre, and the entrywise action of Heisenberg
 automorphisms.
 """
 
-from dataclasses import dataclass, field
 import itertools
 import operator
 import re
@@ -313,6 +312,8 @@ def fibre_mat_mul(a_rows, b_rows):
     # no slot of any entry's sum exceeds this bound in absolute value
     bound = (max((sum(_l1_norm(f) for _, f in row) for row in a_rows), default=0)
              * max((_l1_norm(f) for row in b_rows for _, f in row), default=0))
+    if not bound:  # A or B is zero; the other's coefficients need not fit a slot
+        return [{} for _ in a_rows]
     width = _slot_width(bound)
     row_tag, column_tag = layout[1][n:]
     a_columns = [[] for _ in b_rows]
@@ -578,8 +579,7 @@ def parse_poly(genus, text):
 # Specializations.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Quotient:
+class Quotient(heis.Record):
     """A quotient ring of the group ring, named as on the command line, as
     kernel parameters and a map of fibres.  'torsion<N>' (modulo u^N) places
     (k, x) at (x, k mod N), twisted, modulus N; 'moriyama' (Z[u]/(u^2-1)) at
@@ -589,12 +589,11 @@ class Quotient:
     placed term, and lift(genus, key) a group element with that key, which
     a sum prints.
     """
-    name: str
-    modulus: int
-    twisted: bool
-    place: object = field(compare=False, repr=False)
-    key: object = field(compare=False, repr=False)
-    lift: object = field(compare=False, repr=False)
+    __slots__ = ("name", "modulus", "twisted", "place", "key", "lift")
+    _fields = ("name", "modulus", "twisted")  # so two torsion(N) are interchangeable
+
+    def __init__(self, name, modulus, twisted, place, key, lift):
+        self._init(name, modulus, twisted, place, key, lift)
 
 
 def _place_moriyama(fibres):
@@ -649,14 +648,14 @@ def quotient(name, order=0):
     raise ValueError(f"unknown specialization {name!r}")
 
 
-@dataclass(frozen=True)
-class SpecializedPolynomial:
+class SpecializedPolynomial(heis.Record):
     """Image of a group-ring element in a Quotient, stored as the fibres of
     its placed terms; terms is the sorted tuple of (key, coeff), built on
     each access."""
-    quotient: Quotient
-    genus: int
-    fibres: dict
+    __slots__ = ("quotient", "genus", "fibres")
+
+    def __init__(self, quotient, genus, fibres):
+        self._init(quotient, genus, fibres)
 
     @property
     def terms(self):

@@ -131,6 +131,14 @@ def test_letter_index_with_leading_zero_refused(capsys, argv):
     assert one_line_error(capsys, *argv)
 
 
+@pytest.mark.parametrize("argv", [["--d", "0", "--word", "a0 b0"], ["--d", "-1", "--word", "a1"],
+                                  ["--d", "0", "--word", "a1 b1"], ["--d", "1", "--word", "a0"],
+                                  ["--d", "1", "--word", "a1 b0"]])
+def test_morita_d_refuses_handle_zero(capsys, argv):
+    # handles count from 1, as in mul and phi, which refuse a0
+    assert one_line_error(capsys, "morita", *argv)
+
+
 def test_morita_d_huge_exponent(capsys):
     # the word is read once; exponents are never expanded into letters
     t0 = time.perf_counter()
@@ -342,15 +350,19 @@ def test_strands_bound_exit_1(capsys):
     assert code == 0
 
 
-def _leaves_numpy_loaded(code):
-    """Run code in a fresh interpreter; is numpy in sys.modules afterwards?"""
+def _loaded_after(code):
+    """Run code in a fresh interpreter; the names in sys.modules afterwards."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", code + "\nimport sys; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", code + "\nimport sys; print(' '.join(sys.modules))"],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
         check=True, timeout=120)
-    return proc.stdout.splitlines()[-1] == "True"
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def _leaves_numpy_loaded(code):
+    return "numpy" in _loaded_after(code)
 
 
 def _main(*argv):
@@ -370,6 +382,52 @@ def _main(*argv):
 def test_numpy_only_for_numerical_commands(code, numpy):
     # the exact layers never need floating point, so they never pay for numpy
     assert _leaves_numpy_loaded(code) == numpy
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["phi", "s1 a1^-1 b1"], {"heis", "braid"}),
+    (["mul", "a b", "b^-1"], {"heis", "ring"}),
+    (["mul", "--specialize", "torsion5", "a b"], {"heis", "ring"}),
+    (["mul", "--latex", "a b"], {"heis", "ring", "aut", "repmatrix"}),
+    (["specialize", "--specialize", "abelian", "a b"], {"heis", "ring"}),
+    (["aut", "--twist", "a"], {"heis", "aut"}),
+    (["aut", "--inner", "a1"], {"heis", "aut"}),
+    (["morita", "--d", "1", "--word", "a1 b1"], {"heis", "aut"}),
+    (["morita", "--bounding-pair"], {"heis", "aut"}),
+    (["matrix", "aba", "--latex"], {"heis", "aut", "ring", "repmatrix"}),
+    (["compose", "ta", "tb", "--specialize", "moriyama"], {"heis", "aut", "ring", "repmatrix"}),
+    (["pairing", "--builtin", "s-entry"], {"heis", "braid", "ring", "pairing"}),
+    (["schrodinger", "--N", "3", "--element", "u"], {"heis", "aut", "schrodinger"}),
+    (["schrodinger", "--N", "3", "--weil", "a"], {"heis", "aut", "schrodinger"}),
+    (["verify", "--genus", "2"], {"heis", "braid"}),
+    (["verify", "--all"], {"heis", "braid", "aut", "ring", "repmatrix", "schrodinger"}),
+])
+def test_each_command_imports_only_its_modules(argv, modules):
+    loaded = _loaded_after(_main(*argv))
+    ours = {m.split(".", 1)[1] for m in loaded if m.startswith("heisencalc.")}
+    assert ours == modules | {"cli"}
+    numerical = "schrodinger" in modules
+    assert ("numpy" in loaded) == numerical
+    # numpy imports inspect itself; the package imports neither
+    assert "dataclasses" not in loaded and ("inspect" in loaded) <= numerical
+
+
+def test_cold_import_loads_the_package_heis_and_cli_only():
+    loaded = _loaded_after("import heisencalc.cli")
+    assert {m for m in loaded if m.startswith("heisencalc")} == {
+        "heisencalc", "heisencalc.heis", "heisencalc.cli"}
+    assert not {"dataclasses", "inspect", "numpy"} & loaded
+
+
+def test_package_attributes_import_their_modules():
+    loaded = _loaded_after(
+        "from heisencalc import HeisElement, HeisPolynomial, HeisAutomorphism, BraidWord\n"
+        "from heisencalc import heis, ring, aut, braid\n"
+        "assert HeisElement is heis.HeisElement and HeisPolynomial is ring.HeisPolynomial\n"
+        "assert HeisAutomorphism is aut.HeisAutomorphism and BraidWord is braid.BraidWord")
+    assert {"heisencalc.ring", "heisencalc.aut", "heisencalc.braid"} <= loaded
+    import heisencalc
+    assert not hasattr(heisencalc, "NoSuchName")
 
 
 @pytest.mark.parametrize("cmd", [["schrodinger", "--N", "3", "--weil", "a"],

@@ -438,6 +438,18 @@ def test_mat_mul_key_slots_match_dense(case):
     assert rm.mat_mul(A, B) == dense_mat_mul(A, B)
 
 
+@pytest.mark.parametrize("coeff", [128, -129, 2 ** 70])
+def test_mat_mul_by_zero_matrix(coeff):
+    """A zero factor bounds every slot by 0: the other factor's wide
+    coefficients are not packed, and the product is zero."""
+    ident = aut.identity_aut(1)
+    run = HeisPolynomial._of(1, {(0, 0): {0: 1, 1: 1, 2: 1, 3: coeff}})
+    wide = rm.RepMatrix(1, ((run,),), ident)
+    zero = rm.RepMatrix(1, ((HeisPolynomial.zero(1),),), ident)
+    for A, B in ((wide, zero), (zero, wide)):
+        assert rm.mat_mul(A, B) == dense_mat_mul(A, B) == zero.entries
+
+
 def test_mat_mul_tags_past_one_byte():
     """Row and column indices past 127 widen the slots of small coordinates:
     200 x 1 times 1 x 2, and 2 x 1 times 1 x 200."""
