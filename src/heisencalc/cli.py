@@ -142,6 +142,8 @@ def cmd_pairing(args):
 
 
 def cmd_schrodinger(args):
+    if args.N < 2:  # refused before numpy is loaded
+        raise ValueError("N must be >= 2")
     from . import aut, schrodinger  # numpy: only the numerical commands load it
     if args.element:
         h = heis.parse_element(args.genus, args.element)

@@ -45,6 +45,7 @@ def quadratic(coords):
 
 
 _set = object.__setattr__
+_new = object.__new__
 
 
 class Record:
@@ -115,9 +116,12 @@ class HeisElement(Record):
         if not isinstance(other, HeisElement):
             return NotImplemented
         self._check(other)
-        k = self.k + other.k + omega(self.coords, other.coords)
-        coords = tuple(a + b for a, b in zip(self.coords, other.coords))
-        return HeisElement(self.genus, k, coords)
+        # a product of two valid elements of one genus is valid: no __init__
+        out = _new(HeisElement)
+        _set(out, "genus", self.genus)
+        _set(out, "k", self.k + other.k + omega(self.coords, other.coords))
+        _set(out, "coords", tuple(map(operator.add, self.coords, other.coords)))
+        return out
 
     def inverse(self):
         return HeisElement(self.genus, -self.k, tuple(-c for c in self.coords))

@@ -8,8 +8,12 @@ generators) acts by
 
 So pi(h) is monomial; every matrix and check here works on that form over
 int64 arrays of states s, indexed row-major, and Weil intertwiners are
-averages over the finite group.  Arrays above MAX_DENSE_BYTES are refused up front.
+averages over the finite group.  The exponent of a phase is an integer mod
+2N, so every phase is gathered from the 2N-entry table exp(i pi e / N).
+Arrays above MAX_DENSE_BYTES are refused up front.
 """
+
+import functools
 
 import numpy as np
 
@@ -18,7 +22,8 @@ from .aut import HeisAutomorphism
 
 # 512 MiB: Schrodinger matrices up to N^g = 5792, Weil up to N=39 g=2, N=11 g=3,
 # the verifier up to N=546 g=2, N=53 g=3, N=2 g=13; the slowest admitted verify
-# request, `schrodinger --N 3 --genus 9`, takes about 4 s (2-core Xeon)
+# requests, `schrodinger --N 3 --genus 9` and `--N 2 --genus 13`, take about
+# 1.5 s each (whole process, 2-core Xeon)
 MAX_DENSE_BYTES = 2 ** 29
 
 
@@ -36,14 +41,29 @@ def _states(N, g):
     return np.indices((N,) * g).reshape(g, -1).T
 
 
-def _monomial(N, k, p, q, s):
+@functools.lru_cache(maxsize=16)
+def _layout(N, g):
+    """Read-only constants of (N, g): the states _states(N, g), the row-major
+    weights N^(g-1), ..., N, 1, and the phase table exp(i pi e / N) for
+    e = 0, ..., 2N - 1.  Kept for the last 16 pairs; the states of one pair
+    are at most about 6.6 MB, where the verifier admits N = 828504 at genus 1."""
+    arrays = (_states(N, g), N ** np.arange(g - 1, -1, -1),
+              np.exp(1j * np.pi / N * np.arange(2 * N)))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _monomial(phases, k, p, q, s):
     """Column and phase of the one nonzero entry in row s of pi(k; p, q).
 
-    The int64 arrays k (...,) and p, q, s (..., g) broadcast.  The column is
-    the state s + p mod N, the phase exp(i pi (k + p.q + 2 q.s) / N).
+    phases is the table of _layout(N, g).  The int64 arrays k (...,) and
+    p, q, s (..., g) broadcast.  The column is the state s + p mod N, the
+    phase exp(i pi (k + p.q + 2 q.s) / N).
     """
+    N = len(phases) // 2
     e = (k + (q * (p + 2 * s)).sum(-1)) % (2 * N)
-    return (s + p) % N, np.exp(1j * np.pi / N * e)
+    return (s + p) % N, phases[e]
 
 
 def _pack(N, elems):
@@ -51,8 +71,8 @@ def _pack(N, elems):
 
     The phase depends on k, p, q mod 2N only; reducing first keeps int64 exact.
     """
-    return np.array([[c % (2 * N) for c in (h.k, *h.coords)] for h in elems],
-                    dtype=np.int64)
+    return np.array([c % (2 * N) for h in elems for c in (h.k, *h.coords)],
+                    dtype=np.int64).reshape(len(elems), -1)
 
 
 def _rows(N, g, x):
@@ -61,9 +81,10 @@ def _rows(N, g, x):
     x holds one small int64 row (k, coords) per h; both results have shape
     (len(x), N^g).
     """
+    states, weights, phases = _layout(N, g)
     x = x[:, None]
-    col, phase = _monomial(N, x[..., 0], x[..., 1::2], x[..., 2::2], _states(N, g))
-    return col @ N ** np.arange(g - 1, -1, -1), phase
+    col, phase = _monomial(phases, x[..., 0], x[..., 1::2], x[..., 2::2], states)
+    return col @ weights, phase
 
 
 def schrodinger_matrix(N, g, h):
@@ -180,17 +201,18 @@ def weil_intertwiner(N, g, phi):
         raise ValueError("genus mismatch")
     _check_size(N, g, 2 * g, 16 * (3 * g + 8))
     lifted = finite_lift(phi, N)
-    x = _states(N, 2 * g)
+    states, _, phases = _layout(N, g)
+    x = _states(N, 2 * g)  # per call: the cache keeps no N^(2g) array
     p, q = x[:, ::2], x[:, 1::2]
     # phi~(0, x) = (delta.x, Sx); times E_0j it keeps column 0: row r = -(Sx)_a mod N
     y = x @ np.array(lifted.S).T % (2 * N)
     r = -y[:, ::2] % N
-    _, left = _monomial(N, x @ np.array(lifted.delta), y[:, ::2], y[:, 1::2], r)
-    for j, state in enumerate(_states(N, g)):
+    _, left = _monomial(phases, x @ np.array(lifted.delta), y[:, ::2], y[:, 1::2], r)
+    for j, state in enumerate(states):
         # E_0j pi(0, x)^-1 keeps column j of pi(0, x), conjugated: row c = j - p
         c = (state - p) % N
         T = np.zeros((N,) * (2 * g), dtype=complex)
-        np.add.at(T, (*r.T, *c.T), left * _monomial(N, 0, p, q, c)[1].conj())
+        np.add.at(T, (*r.T, *c.T), left * _monomial(phases, 0, p, q, c)[1].conj())
         T = T.reshape(N ** g, -1)
         # T[0, j] = N^g |U0[0, j]|^2 is 0 or >= 1 (row 0 is flat on its support)
         if T[0, j].real > 0.5:

@@ -350,15 +350,21 @@ def test_strands_bound_exit_1(capsys):
     assert code == 0
 
 
-def _loaded_after(code):
-    """Run code in a fresh interpreter; the names in sys.modules afterwards."""
+def _run_fresh(code):
+    """Run code in a fresh interpreter: (its stderr, the names in sys.modules
+    afterwards)."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", code + "\nimport sys; print(' '.join(sys.modules))"],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
         check=True, timeout=120)
-    return set(proc.stdout.splitlines()[-1].split())
+    return proc.stderr, set(proc.stdout.splitlines()[-1].split())
+
+
+def _loaded_after(code):
+    """Run code in a fresh interpreter; the names in sys.modules afterwards."""
+    return _run_fresh(code)[1]
 
 
 def _leaves_numpy_loaded(code):
@@ -382,6 +388,16 @@ def _main(*argv):
 def test_numpy_only_for_numerical_commands(code, numpy):
     # the exact layers never need floating point, so they never pay for numpy
     assert _leaves_numpy_loaded(code) == numpy
+
+
+@pytest.mark.parametrize("argv", [["--N", "1", "--element", "u"], ["--N", "0", "--weil", "a"],
+                                  ["--N", "-3", "--genus", "2"]])
+def test_small_N_refused_before_numpy(argv):
+    # the refusal needs no floating point: exit 1, one line, numpy never loaded
+    stderr, loaded = _run_fresh(
+        f"from heisencalc import cli; assert cli.main({['schrodinger', *argv]!r}) == 1")
+    assert stderr == "error: N must be >= 2\n"
+    assert "numpy" not in loaded
 
 
 @pytest.mark.parametrize("argv, modules", [

@@ -100,3 +100,21 @@ def test_dataclasses_replace_builds_through_the_constructor():
         dataclasses.replace(M, entries=((M.entries[0][0],), ()))
     x = dataclasses.replace(heis.HeisElement(1, 2, (3, -4)), k=0)
     assert x == heis.HeisElement(1, 0, (3, -4))
+
+
+def test_product_is_a_constructed_element():
+    # __mul__ builds its result without __init__: it must still be an
+    # ordinary element, and a genus mismatch must still be refused
+    x, y = heis.HeisElement(2, 1, (1, 0, 0, 1)), heis.HeisElement(2, -3, (2, 5, -1, 0))
+    built = heis.HeisElement(2, 1 - 3 + 5 + 1, (3, 5, -1, 1))
+    xy = x * y
+    assert type(xy) is heis.HeisElement
+    assert xy == built and not xy != built and hash(xy) == hash(built)
+    assert repr(xy) == repr(built) and xy.word_str() == built.word_str()
+    assert copy.copy(xy) == copy.deepcopy(xy) == pickle.loads(pickle.dumps(xy)) == built
+    assert {xy: 1}[built] == 1
+    with pytest.raises(AttributeError):
+        xy.k = 0
+    for a, b in ((x, heis.u(1)), (heis.gen_a(3, 1), x)):
+        with pytest.raises(ValueError, match="genus mismatch"):
+            a * b

@@ -7,8 +7,8 @@ import pytest
 from heisencalc import aut, heis, schrodinger as sch
 from heisencalc.heis import HeisElement
 from tests_helpers import (dense_products_ok, dense_verify_schrodinger_rep,
-                           dense_weil_residual, loop_schrodinger_matrix,
-                           svd_weil_intertwiner)
+                           dense_weil_residual, exp_schrodinger_matrix,
+                           loop_schrodinger_matrix, svd_weil_intertwiner)
 
 
 def sp_word(genus, kinds):
@@ -364,6 +364,40 @@ def test_matrix_matches_loop_reference():
     small = HeisElement(2, 7, (3, -4, 5, 2))
     assert np.abs(sch.schrodinger_matrix(3, 2, big)
                   - sch.schrodinger_matrix(3, 2, small)).max() < 1e-12
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_matrix_phases_bitwise_equal_per_entry_exp(g):
+    # the phase table gives exactly the floats of np.exp at each exponent
+    rng = np.random.default_rng(40 + g)
+    for N in range(2, 14):
+        h = HeisElement(g, int(rng.integers(-60, 61)),
+                        tuple(int(c) for c in rng.integers(-40, 41, 2 * g)))
+        assert np.array_equal(sch.schrodinger_matrix(N, g, h), exp_schrodinger_matrix(N, g, h))
+
+
+def test_cached_arrays_are_read_only():
+    for N, g in [(2, 1), (5, 2), (3, 3)]:
+        for a in sch._layout(N, g):
+            with pytest.raises(ValueError):
+                a[0] = 0
+            with pytest.raises(ValueError):
+                a += 0
+    assert sch._layout.cache_info().maxsize <= 16
+
+
+def test_cache_keeps_no_large_array():
+    # the N^(2g) states of a Weil solve are per call: once it returns, only
+    # the small per-(N, g) arrays stay (the N^(2g) states alone are 12.5 MB)
+    phi = sp_word(2, "ab")
+    sch._layout.cache_clear()
+    tracemalloc.start()
+    try:
+        sch.weil_intertwiner(25, 2, phi)
+        assert tracemalloc.get_traced_memory()[0] < 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert sch._layout.cache_info().currsize == 1
 
 
 def test_depends_on_word_form_reduction():

@@ -104,6 +104,20 @@ def loop_schrodinger_matrix(N, g, h):
     return M
 
 
+def exp_schrodinger_matrix(N, g, h):
+    """Reference Schrodinger matrix with each phase evaluated on its own:
+    row s holds np.exp(1j * pi / N * e) in column s + p mod N, for the
+    integer e = k + p.q + 2 q.s reduced mod 2N in Python."""
+    p, q = h.coords[::2], h.coords[1::2]
+    states = list(itertools.product(range(N), repeat=g))
+    index = {s: i for i, s in enumerate(states)}
+    M = np.zeros((N ** g, N ** g), dtype=complex)
+    for i, s in enumerate(states):
+        e = (h.k + sum(map(operator.mul, p, q)) + 2 * sum(map(operator.mul, q, s))) % (2 * N)
+        M[i, index[tuple((c + a) % N for c, a in zip(s, p))]] = np.exp(1j * np.pi / N * e)
+    return M
+
+
 def svd_weil_intertwiner(N, g, phi):
     """Reference Weil intertwiner from a dense null space, for tests only.
 
