@@ -108,21 +108,14 @@ def inner_of(h):
 def inner_witness(phi):
     """Return h with inner_of(h) = phi, or None if phi is not inner.
 
-    An automorphism is inner iff S is the identity and every delta value is
-    even; the coordinates of h are then solved from delta via the duality
-    delta(y) = 2 omega(hbar, y).
+    The coordinates of h are solved from delta via the duality
+    delta(y) = 2 omega(hbar, y); phi is inner iff the solution maps back to
+    phi, which fails when S is not the identity or a delta value is odd.
     """
-    g = phi.genus
-    if phi.S != identity_aut(g).S:
-        return None
-    if any(d % 2 for d in phi.delta):
-        return None
     # hbar = J delta / 2, entrywise hbar_k = (-1)^k delta_{k^1} / 2
-    coords = tuple((-1) ** k * phi.delta[k ^ 1] // 2 for k in range(2 * g))
-    h = HeisElement(g, 0, coords)
-    if inner_of(h) != phi:
-        return None
-    return h
+    coords = tuple((-1) ** k * phi.delta[k ^ 1] // 2 for k in range(2 * phi.genus))
+    h = HeisElement(phi.genus, 0, coords)
+    return h if inner_of(h) == phi else None
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +127,8 @@ def inner_witness(phi):
 
 def _check_letters(word):
     for name, _ in word:
-        m = heis.LETTER.fullmatch(name)
-        if not m or m.group(2) in (None, "0"):  # handles count from 1
+        # a or b with an index in the heis grammar; handles count from 1
+        if name[:1] not in ("a", "b") or name[1:] in ("", "0") or not heis.NAME.fullmatch(name):
             raise ValueError(f"bad letter {name!r} in free-group word")
 
 

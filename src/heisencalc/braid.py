@@ -1,13 +1,14 @@
 """Surface braid group words and the quotient map to the Heisenberg group.
 
 Words are sequences of generators s1..s(n-1) (half twists) and a1..ag, b1..bg
-(handle generators); they are never rewritten, only their images are
-normalized.  The quotient map phi sends every s_i to the central generator u
-and a_j, b_j to the corresponding Heisenberg lifts.  verify_bellingeri checks
-that phi respects every instance of the defining relations of the group.
+(handle generators), read by heis.parse_word like every other word: letters
+in the heis grammar (ASCII index, no leading zero, 's' and 'a' mean s1 and
+a1), each with an optional exponent, juxtaposed or spaced.  Words are never
+rewritten, only their images are normalized.  The quotient map phi sends
+every s_i to the central generator u and a_j, b_j to the corresponding
+Heisenberg lifts.  verify_bellingeri checks that phi respects every instance
+of the defining relations of the group.
 """
-
-import re
 
 from . import heis
 
@@ -30,10 +31,9 @@ class BraidWord(heis.Record):
         if strands < 2:
             raise ValueError("need at least 2 strands")
         for name, _ in letters:
-            m = re.fullmatch(r"([sab])(\d+)", name)
-            if not m:
+            if name == "u" or not heis.NAME.fullmatch(name):
                 raise ValueError(f"unknown braid generator {name!r}")
-            kind, idx = m.group(1), int(m.group(2))
+            kind, idx = name[0], int(name[1:] or 1)
             if kind == "s" and not 1 <= idx <= strands - 1:
                 raise ValueError(f"{name!r} out of range for {strands} strands")
             if kind in "ab" and not 1 <= idx <= genus:
@@ -57,14 +57,8 @@ class BraidWord(heis.Record):
 
     @classmethod
     def parse(cls, genus, strands, text):
-        """Parse compact text such as 's1 a1^-1 b1 s1^-1'."""
-        letters = []
-        for chunk in text.split():
-            m = re.fullmatch(r"([sab]\d+)(?:\^(-?\d+))?", chunk)
-            if not m:
-                raise ValueError(f"bad braid letter {chunk!r}")
-            letters.append((m.group(1), int(m.group(2)) if m.group(2) else 1))
-        return cls(genus, strands, tuple(letters))
+        """Parse text such as 's1 a1^-1 b1 s1^-1' (see heis.parse_word)."""
+        return cls(genus, strands, tuple(heis.parse_word(text)))
 
 
 def phi(w):

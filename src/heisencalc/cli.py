@@ -107,6 +107,8 @@ def cmd_morita(args):
 def cmd_compose(args):
     from . import repmatrix
     names = args.names if args.cmd == "compose" else [args.name]  # matrix NAME
+    if args.genus != 1 and set(names) != {"separating"}:
+        raise ValueError(f"ta, tb, aba and boundary need genus 1, got {args.genus}")
     mats = [BUILTIN_MATRICES[name](repmatrix, args.genus) for name in names]
     M = functools.reduce(repmatrix.compose_twisted, mats)
     if args.specialize:

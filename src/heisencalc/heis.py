@@ -23,6 +23,19 @@ import types
 MAX_GENUS = 16
 
 
+# The token grammar of every reader of words, expressions and quotient names,
+# in ASCII digits only (\d and int() also read the digits of other scripts).
+# An index has no leading zero, so each letter has one spelling.
+DIGITS = "[0-9]+"
+INTEGER = f"-?{DIGITS}"
+INDEX = "0|[1-9][0-9]*"
+# a letter: u, or a, b or s with an index (none: 1), and no digit after it
+NAME = re.compile(f"(?:u|[abs](?:{INDEX})?)(?![0-9])")
+LETTER = re.compile(rf"({NAME.pattern})(?:\^({INTEGER}))?")
+# the pair form, compiled on its first use
+PAIR = rf"\(\s*({INTEGER})\s*;\s*((?:{INTEGER}(?:\s*,\s*{INTEGER})*)?)\s*\)"
+
+
 def check_genus(genus):
     """Refuse a genus outside 1..MAX_GENUS before anything of that size is built."""
     if not 1 <= genus <= MAX_GENUS:
@@ -130,15 +143,6 @@ class HeisElement(Record):
         # omega(x, x) = 0, so (k, x)^n = (nk, nx) for every integer n.
         return HeisElement(self.genus, n * self.k, tuple(n * c for c in self.coords))
 
-    def conjugate(self, x):
-        """Return self * x * self^-1.
-
-        For h = (l, xbar) and x = (k, ybar) this is (k + 2 omega(xbar, ybar), ybar).
-        """
-        self._check(x)
-        return HeisElement(self.genus, x.k + 2 * omega(self.coords, x.coords),
-                           x.coords)
-
     def is_identity(self):
         return self.k == 0 and all(c == 0 for c in self.coords)
 
@@ -201,22 +205,17 @@ def generators(genus):
     return [(name, generator(genus, name)) for name in generator_names(genus)]
 
 
-# a<i> or b<i> (no index: 1), with no leading zero, so each letter has one spelling
-LETTER = re.compile(r"([ab])(0|[1-9]\d*)?")
-
-
 def generator(genus, name, power=1):
     """Generator by name: 'u', 'a<i>' or 'b<i>'.  'a'/'b' mean index 1."""
     if name == "u":
         return u(genus, power)
-    m = LETTER.fullmatch(name)
-    if not m:
+    if name[:1] not in ("a", "b") or not NAME.fullmatch(name):
         raise ValueError(f"unknown generator {name!r}")
-    i = int(m.group(2)) if m.group(2) else 1
+    i = int(name[1:] or 1)
     if not 1 <= i <= genus:
         raise ValueError(f"index {i} out of range for genus {genus}")
     coords = [0] * (2 * genus)
-    coords[2 * i - 2 + (m.group(1) == "b")] = power
+    coords[2 * i - 2 + (name[0] == "b")] = power
     return HeisElement(genus, 0, tuple(coords))
 
 
@@ -228,14 +227,12 @@ def from_word(genus, word):
     return result
 
 
-_TOKEN = re.compile(r"([uab]\d*)(?:\^(-?\d+))?")
-
-
 def parse_word(text):
-    """Split 'u^2 a1^-2 b1' into [(generator name, exponent)]; names are not checked."""
+    """Split 'u^2 a1^-2 b1' into [(letter name, exponent)]; names are not checked
+    beyond the grammar, and juxtaposed letters ('a1b1') are two letters."""
     word = []
     pos = 0
-    for m in _TOKEN.finditer(text):
+    for m in LETTER.finditer(text):
         if text[pos:m.start()].strip():
             raise ValueError(f"bad element syntax near {text[pos:m.start()]!r}")
         word.append((m.group(1), int(m.group(2)) if m.group(2) else 1))
@@ -249,10 +246,10 @@ def parse_element(genus, text):
     """Parse either word form 'u^2 a1^-2 b1^2' or pair form '(k; l1,m1,...)'."""
     text = text.strip()
     if text.startswith("("):
-        m = re.fullmatch(r"\(\s*(-?\d+)\s*;\s*([-\d,\s]*)\)", text)
+        m = re.fullmatch(PAIR, text)
         if not m:
             raise ValueError(f"bad pair form: {text!r}")
-        coords = tuple(int(c) for c in m.group(2).split(",")) if m.group(2).strip() else ()
+        coords = tuple(int(c) for c in m.group(2).split(",")) if m.group(2) else ()
         return HeisElement(genus, int(m.group(1)), coords)
     if text == "1" or text == "":
         return identity(genus)

@@ -44,27 +44,15 @@ class IntersectionRecord(heis.Record):
                 "loop": str(self.loop) if self.loop.letters else ""}
 
 
-def configuration_sign(sgn_p1, sgn_p2, sgn_loop):
-    """Full intersection sign in the oriented convention (global -1 included)."""
-    for s in (sgn_p1, sgn_p2, sgn_loop):
-        if s not in (1, -1):
-            raise ValueError("signs must be +1 or -1")
-    return -sgn_p1 * sgn_p2 * sgn_loop
-
-
 def evaluate_pairing(records, genus=1, mode="paper-formula"):
     """Sum the signed phi-images of a list of IntersectionRecord."""
     if mode not in ("paper-formula", "oriented"):
         raise ValueError(f"unknown sign mode {mode!r}")
-    total = HeisPolynomial.zero(genus)
-    for rec in records:
-        if rec.loop.genus != genus:
-            raise ValueError("record genus mismatch")
-        sign = rec.sgn_p1 * rec.sgn_p2 * rec.sgn_loop
-        if mode == "oriented":
-            sign = -sign
-        total = total + HeisPolynomial.monomial(braid.phi(rec.loop), sign)
-    return total
+    if any(rec.loop.genus != genus for rec in records):
+        raise ValueError("record genus mismatch")
+    mode_sign = -1 if mode == "oriented" else 1
+    return HeisPolynomial(genus, [(braid.phi(rec.loop), mode_sign * rec.sgn_p1 * rec.sgn_p2
+                                   * rec.sgn_loop) for rec in records])
 
 
 def _rec(genus, s1, s2, sl, text):

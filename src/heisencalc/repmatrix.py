@@ -117,20 +117,20 @@ def compose_twisted(Fg, Ff):
 def matrix_inverse_entries(M):
     """Two-sided inverse of the plain entry matrix over the group ring.
 
-    Gaussian elimination looking for single-term pivots with coefficient
-    +-1 (units of the group ring); raises if none is available at some
-    step.  Sufficient for the twist matrices shipped here.
+    Gaussian elimination on the augmented rows [M | I], looking for
+    single-term pivots with coefficient +-1 (units of the group ring);
+    raises if none is available at some step.  Sufficient for the twist
+    matrices shipped here.
     """
     n = M.rows
     if n != M.cols:
         raise ValueError("only square matrices are invertible")
     g = M.genus
-    work = [list(row) for row in M.entries]
-    result = [list(row) for row in identity_matrix(g, n).entries]
+    rows = [list(row) + list(unit) for row, unit in zip(M.entries, identity_matrix(g, n).entries)]
     for col in range(n):
         pivot = None
         for row in range(col, n):
-            terms = [(k, x, c) for x, f in work[row][col].fibres.items() for k, c in f.items()]
+            terms = [(k, x, c) for x, f in rows[row][col].fibres.items() for k, c in f.items()]
             if len(terms) == 1 and terms[0][2] in (1, -1):
                 k, x, coeff = terms[0]
                 pivot = (row, coeff, HeisElement(g, k, x))
@@ -138,18 +138,15 @@ def matrix_inverse_entries(M):
         if pivot is None:
             raise ValueError(f"no unit pivot in column {col}")
         prow, coeff, elem = pivot
-        work[col], work[prow] = work[prow], work[col]
-        result[col], result[prow] = result[prow], result[col]
+        rows[col], rows[prow] = rows[prow], rows[col]
         inv = HeisPolynomial.monomial(elem.inverse(), coeff)
-        work[col] = [inv * p for p in work[col]]
-        result[col] = [inv * p for p in result[col]]
+        rows[col] = [inv * p for p in rows[col]]
         for row in range(n):
-            if row == col or work[row][col].is_zero():
+            if row == col or rows[row][col].is_zero():
                 continue
-            factor = work[row][col]
-            work[row] = [a - factor * b for a, b in zip(work[row], work[col])]
-            result[row] = [a - factor * b for a, b in zip(result[row], result[col])]
-    return tuple(tuple(row) for row in result)
+            factor = rows[row][col]
+            rows[row] = [a - factor * b for a, b in zip(rows[row], rows[col])]
+    return tuple(tuple(row[n:]) for row in rows)
 
 
 def rep_matrix_inverse(M):

@@ -463,7 +463,7 @@ class HeisPolynomial:
 #   expr    := ['-'] product (('+'|'-') product)*
 #   product := factor+                      (juxtaposition is multiplication)
 #   factor  := integer | symbol ['^' int] | '(' expr ')' ['^' int]
-#   symbol  := 'u' | 'a' | 'b' | 'a<i>' | 'b<i>'
+#   symbol  := 'u' | 'a' | 'b' | 'a<i>' | 'b<i>'   (heis.NAME, ASCII digits)
 # ---------------------------------------------------------------------------
 
 # Largest n accepted in (expr)^n; each step is one full product.
@@ -482,7 +482,8 @@ def bounded_product(left, right, what="product"):
     return left * right
 
 
-_EXPR_TOKEN = re.compile(r"\s*(?:(\d+)|([uab]\d*)|(\^-?\d+)|([+\-()]))")
+_EXPR_TOKEN = re.compile(
+    rf"\s*(?:({heis.DIGITS})|({heis.NAME.pattern})|\^({heis.INTEGER})|([+\-()]))")
 
 
 def _tokenize(text):
@@ -499,7 +500,7 @@ def _tokenize(text):
         elif m.group(2):
             tokens.append(("sym", m.group(2)))
         elif m.group(3):
-            tokens.append(("pow", int(m.group(3)[1:])))
+            tokens.append(("pow", int(m.group(3))))
         else:
             tokens.append((m.group(4), None))
         pos = m.end()
@@ -643,7 +644,7 @@ def quotient(name, order=0):
         return MORIYAMA
     if name == "abelian":
         return ABELIAN
-    if name.startswith("torsion") and (name[7:].isdigit() or name == "torsion" and order):
+    if re.fullmatch(f"torsion({heis.INDEX})?", name) and (name[7:] or order):
         return torsion(int(name[7:] or order))
     raise ValueError(f"unknown specialization {name!r}")
 

@@ -150,6 +150,22 @@ def test_inner_of_and_witness():
                                               ((1, 0), (0, 1)))) is None
 
 
+def test_inner_witness_iff_identity_S_and_even_delta():
+    # the round trip inner_of(h) == phi alone decides: inner iff S = I, delta even
+    rng = random.Random(17)
+    for _ in range(300):
+        g = rng.randint(1, 3)
+        phi = aut.identity_aut(g)
+        for _ in range(rng.randint(0, 3)):
+            phi = phi.compose(aut.twist_aut(g, rng.choice("ab"), rng.randint(1, g)))
+        delta = tuple(d + rng.randint(-3, 3) for d in phi.delta)
+        phi = HeisAutomorphism(g, delta, phi.S)
+        inner = phi.S == aut.identity_aut(g).S and not any(d % 2 for d in delta)
+        w = aut.inner_witness(phi)
+        assert (w is not None) == inner
+        assert w is None or aut.inner_of(w) == phi
+
+
 def test_inner_witness_example():
     phi = HeisAutomorphism(2, (2, 0, 0, 0), aut.identity_aut(2).S)
     w = aut.inner_witness(phi)

@@ -131,6 +131,54 @@ def test_letter_index_with_leading_zero_refused(capsys, argv):
     assert one_line_error(capsys, *argv)
 
 
+# Every reader reads one token grammar (heis): ASCII digits only, no leading
+# zero in an index or a torsion order.  Each row is a refused spelling, the
+# ASCII spelling it imitates and what that prints; FIXTURE stands for a
+# pairing fixture file whose one record has the loop in the next argument.
+READERS = [
+    (["mul", "--genus", "11", "--plain", "a1\u0661"],
+     ["mul", "--genus", "11", "--plain", "a11"], "a11\n"),
+    (["mul", "--plain", "u^\u0663"], ["mul", "--plain", "u^3"], "u^3\n"),
+    (["mul", "--plain", "\u0663 a"], ["mul", "--plain", "3 a"], "3 a1\n"),
+    (["specialize", "--specialize", "torsion\u0665", "u"],
+     ["specialize", "--specialize", "torsion5", "u"], "[[[1, [0, 0]], 1]]\n"),
+    (["mul", "--specialize", "torsion00005", "u^7"],
+     ["mul", "--specialize", "torsion5", "u^7"], "[[[2, [0, 0]], 1]]\n"),
+    (["phi", "--strands", "3", "s01"], ["phi", "--strands", "3", "s1"],
+     '{"word": "u", "pair": "(1; 0,0)"}\n'),
+    (["phi", "--strands", "12", "s1\u0661"], ["phi", "--strands", "12", "s11"],
+     '{"word": "u", "pair": "(1; 0,0)"}\n'),
+    (["aut", "--inner", "(\u0663; 1, 0)"], ["aut", "--inner", "(3; 1, 0)"],
+     '{"delta": [0, 2], "S": [[1, 0], [0, 1]]}\n'),
+    (["morita", "--d", "11", "--word", "a1\u0661 b11"],
+     ["morita", "--d", "11", "--word", "a11 b11"], "1\n"),
+    (["pairing", "--plain", "FIXTURE", "s01"], ["pairing", "--plain", "FIXTURE", "s1"], "u\n"),
+    # the genus-1 matrices exist at genus 1 only
+    (["compose", "ta", "--genus", "3", "--specialize", "moriyama"],
+     ["compose", "ta", "--genus", "1", "--specialize", "moriyama"],
+     '{"rows": 3, "cols": 3, "entries": [["1", "1", "-1 + u"], ["0", "1", "0"], '
+     '["0", "-1", "1"]]}\n'),
+    (["matrix", "boundary", "--genus", "2", "--plain", "--specialize", "moriyama"],
+     ["matrix", "boundary", "--plain", "--specialize", "moriyama"],
+     "[1, 0, 0]\n[0, 1, 0]\n[0, 0, 1]\n"),
+]
+
+
+def _with_fixture(tmp_path, argv):
+    if "FIXTURE" not in argv:
+        return argv
+    i = argv.index("FIXTURE")
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps([{"s1": 1, "s2": 1, "sl": 1, "loop": argv[i + 1]}]))
+    return argv[:i] + ["--fixture", str(path)]
+
+
+@pytest.mark.parametrize("bad, good, out", READERS)
+def test_every_reader_refuses_what_its_ascii_spelling_is_not(capsys, tmp_path, bad, good, out):
+    assert one_line_error(capsys, *_with_fixture(tmp_path, bad))
+    assert run(capsys, *_with_fixture(tmp_path, good)) == (0, out)
+
+
 @pytest.mark.parametrize("argv", [["--d", "0", "--word", "a0 b0"], ["--d", "-1", "--word", "a1"],
                                   ["--d", "0", "--word", "a1 b1"], ["--d", "1", "--word", "a0"],
                                   ["--d", "1", "--word", "a1 b0"]])

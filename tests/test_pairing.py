@@ -1,17 +1,17 @@
 import pytest
 
-from heisencalc import pairing, ring
+from heisencalc import braid, pairing, ring
 from heisencalc.braid import BraidWord
 from heisencalc.pairing import IntersectionRecord
 
 
 def test_configuration_sign():
-    assert pairing.configuration_sign(1, 1, 1) == -1
-    assert pairing.configuration_sign(-1, -1, 1) == -1
-    assert pairing.configuration_sign(-1, 1, -1) == -1
-    assert pairing.configuration_sign(1, -1, 1) == 1
-    with pytest.raises(ValueError):
-        pairing.configuration_sign(0, 1, 1)
+    # the oriented convention: one record contributes -s1 s2 sl phi(loop)
+    loop = BraidWord(1, 2, ())
+    for signs, want in [((1, 1, 1), -1), ((-1, -1, 1), -1), ((-1, 1, -1), -1),
+                        ((1, -1, 1), 1)]:
+        got = pairing.evaluate_pairing([IntersectionRecord(*signs, loop)], mode="oriented")
+        assert got == ring.HeisPolynomial.one(1) * want
 
 
 def test_record_validation():
@@ -43,6 +43,15 @@ def test_oriented_mode_is_negative():
             -pairing.evaluate_pairing(recs, mode="paper-formula")
     with pytest.raises(ValueError):
         pairing.evaluate_pairing([], mode="nonsense")
+
+
+def test_sum_merges_records():
+    loop = BraidWord.parse(1, 2, "s1 a1")
+    recs = [IntersectionRecord(1, 1, 1, loop), IntersectionRecord(1, -1, 1, loop),
+            IntersectionRecord(-1, -1, 1, loop)]
+    assert pairing.evaluate_pairing(recs) == ring.HeisPolynomial.monomial(braid.phi(loop))
+    with pytest.raises(ValueError, match="record genus mismatch"):
+        pairing.evaluate_pairing(recs, genus=2)
 
 
 def test_additivity():

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import time
@@ -286,6 +287,20 @@ def test_matrix_inverse():
         comp2 = rm.compose_twisted(inv, M)
         assert comp2.entries == rm.identity_matrix(1, 3).entries
         assert comp2.source_twist.is_identity()
+    # a product of four shipped twists inverts too
+    rng = random.Random(31)
+    word = [rng.choice((rm.matrix_Ta(), rm.matrix_Tb())) for _ in range(4)]
+    M = functools.reduce(rm.compose_twisted, word)
+    assert rm.compose_twisted(M, rm.rep_matrix_inverse(M)).entries == \
+        rm.identity_matrix(1, 3).entries
+
+
+@pytest.mark.parametrize("build", [rm.matrix_boundary_twist,
+                                   lambda: rm.matrix_separating_twist(2)])
+def test_matrix_inverse_without_unit_pivot(build):
+    # the boundary and separating twists have no single-term unit in column 0
+    with pytest.raises(ValueError, match="no unit pivot in column 0"):
+        rm.rep_matrix_inverse(build())
 
 
 def test_untwist_synthetic():
