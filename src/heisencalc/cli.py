@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 from . import heis
@@ -32,8 +33,8 @@ def _emit_poly(p, fmt):
     if fmt == "json":
         print(json.dumps(p.to_json()))
     elif fmt == "latex":
-        from . import repmatrix
-        print(repmatrix.poly_latex(p))
+        from . import ring
+        print(ring.poly_latex(p))
     else:
         print(str(p))
 
@@ -162,11 +163,7 @@ def cmd_schrodinger(args):
             return 1
         print(json.dumps(schrodinger.matrix_to_json(U)))
         return 0
-    report = schrodinger.verify_schrodinger_rep(args.N, args.genus, tol=args.tol)
-    bad = [name for name, ok in report if not ok]
-    for name, ok in report:
-        print(f"{name}: {'pass' if ok else 'FAIL'}")
-    return 1 if bad else 0
+    return _report(schrodinger.verify_schrodinger_rep(args.N, args.genus, tol=args.tol))
 
 
 def cmd_verify(args):
@@ -176,22 +173,22 @@ def cmd_verify(args):
     checks.extend(braid.verify_bellingeri(args.genus, args.strands))
     if args.all:
         from . import repmatrix, schrodinger
-        left, right = repmatrix.braid_composites()
-        fixture = repmatrix.fixture_matrix("action_aba")
-        checks.append(("braid identity", left.entries == right.entries))
-        checks.append(("braid identity matches fixture",
-                       left.entries == fixture.entries))
-        Md = repmatrix._boundary_twist(left)  # the aba just built
-        checks.append(("boundary twist matches fixture",
-                       Md.entries == repmatrix.fixture_matrix("boundary_twist").entries))
-        checks.append(("boundary twist dies in the u-quotient",
-                       repmatrix.is_specialized_identity(
-                           repmatrix.specialize_matrix(Md, "moriyama"))))
+        checks.extend(repmatrix.verify_builtin_matrices())
         checks.extend(schrodinger.verify_schrodinger_rep(3, 1, tol=args.tol))
-    bad = [name for name, ok in checks if not ok]
+    return _report(checks)
+
+
+def _report(checks):
     for name, ok in checks:
         print(f"{name}: {'pass' if ok else 'FAIL'}")
-    return 1 if bad else 0
+    return 0 if all(ok for _, ok in checks) else 1
+
+
+def integer(text):
+    """An integer option: ASCII digits and an optional minus (unlike int())."""
+    if not re.fullmatch(heis.INTEGER, text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def tolerance(text):
@@ -208,63 +205,63 @@ def build_parser():
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     sp = sub.add_parser("phi", help="image of a braid word in the group")
-    sp.add_argument("--genus", type=int, default=1)
-    sp.add_argument("--strands", type=int, default=2)
+    sp.add_argument("--genus", type=integer, default=1)
+    sp.add_argument("--strands", type=integer, default=2)
     sp.add_argument("word")
     _add_format_flags(sp)
     sp.set_defaults(fn=cmd_phi)
 
     sp = sub.add_parser("mul", help="multiply group ring expressions")
-    sp.add_argument("--genus", type=int, default=1)
+    sp.add_argument("--genus", type=integer, default=1)
     sp.add_argument("--specialize")
     sp.add_argument("exprs", nargs="+")
     _add_format_flags(sp)
     sp.set_defaults(fn=cmd_mul)
 
     sp = sub.add_parser("aut", help="automorphisms: twists, inner, witnesses")
-    sp.add_argument("--genus", type=int, default=1)
+    sp.add_argument("--genus", type=integer, default=1)
     mode = sp.add_mutually_exclusive_group(required=True)
     mode.add_argument("--twist", choices=["a", "b"])
     mode.add_argument("--inner")
     mode.add_argument("--witness")
-    sp.add_argument("--index", type=int, default=1)
+    sp.add_argument("--index", type=integer, default=1)
     sp.add_argument("--inverse", action="store_true")
     _add_format_flags(sp)
     sp.set_defaults(fn=cmd_aut)
 
     sp = sub.add_parser("morita", help="crossed homomorphism from a pi_1 action")
-    sp.add_argument("--genus", type=int, default=2)
+    sp.add_argument("--genus", type=integer, default=2)
     mode = sp.add_mutually_exclusive_group(required=True)
     mode.add_argument("--bounding-pair", action="store_true")
     mode.add_argument("--twist", choices=["a", "b"])
-    mode.add_argument("--d", type=int)
-    sp.add_argument("--index", type=int, default=1)
+    mode.add_argument("--d", type=integer)
+    sp.add_argument("--index", type=integer, default=1)
     sp.add_argument("--word", default="")
     sp.set_defaults(fn=cmd_morita)
 
     sp = sub.add_parser("matrix", help="built-in twist matrices")
     sp.add_argument("name", choices=list(BUILTIN_MATRICES))
-    sp.add_argument("--genus", type=int, default=1)
+    sp.add_argument("--genus", type=integer, default=1)
     sp.add_argument("--specialize")
     _add_format_flags(sp)
     sp.set_defaults(fn=cmd_compose)
 
     sp = sub.add_parser("compose", help="twisted composite of built-in matrices")
     sp.add_argument("names", nargs="+", choices=list(BUILTIN_MATRICES))
-    sp.add_argument("--genus", type=int, default=1)
+    sp.add_argument("--genus", type=integer, default=1)
     sp.add_argument("--specialize")
     _add_format_flags(sp)
     sp.set_defaults(fn=cmd_compose)
 
     sp = sub.add_parser("specialize", help="specialize a group ring expression")
-    sp.add_argument("--genus", type=int, default=1)
+    sp.add_argument("--genus", type=integer, default=1)
     sp.add_argument("--specialize", required=True)
     sp.add_argument("exprs", nargs=1, metavar="expr")
     _add_format_flags(sp)
     sp.set_defaults(fn=cmd_mul)
 
     sp = sub.add_parser("pairing", help="evaluate intersection pairing data")
-    sp.add_argument("--genus", type=int, default=1)
+    sp.add_argument("--genus", type=integer, default=1)
     sp.add_argument("--fixture", help="path to a JSON list of records")
     sp.add_argument("--builtin",
                     choices=["ta-wb-wa", "ta-wb-vab", "s-entry"])
@@ -274,8 +271,8 @@ def build_parser():
     sp.set_defaults(fn=cmd_pairing)
 
     sp = sub.add_parser("schrodinger", help="finite representation matrices")
-    sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--genus", type=int, default=1)
+    sp.add_argument("--N", type=integer, required=True)
+    sp.add_argument("--genus", type=integer, default=1)
     mode = sp.add_mutually_exclusive_group()
     mode.add_argument("--element")
     mode.add_argument("--weil", choices=["a", "b"])
@@ -283,8 +280,8 @@ def build_parser():
     sp.set_defaults(fn=cmd_schrodinger)
 
     sp = sub.add_parser("verify", help="run the relation and matrix checks")
-    sp.add_argument("--genus", type=int, default=1)
-    sp.add_argument("--strands", type=int, default=2)
+    sp.add_argument("--genus", type=integer, default=1)
+    sp.add_argument("--strands", type=integer, default=2)
     sp.add_argument("--all", action="store_true")
     sp.add_argument("--tol", type=tolerance, default=1e-10)
     sp.set_defaults(fn=cmd_verify)

@@ -30,7 +30,7 @@ class IntersectionRecord(heis.Record):
 
     @classmethod
     def from_json(cls, genus, data):
-        """Inverse of to_json; ValueError unless data has that shape."""
+        """A record read from JSON; ValueError unless data has its shape."""
         try:
             s1, s2, sl, loop = data["s1"], data["s2"], data["sl"], data["loop"]
         except (KeyError, TypeError):
@@ -38,10 +38,6 @@ class IntersectionRecord(heis.Record):
         if not isinstance(loop, str):
             raise ValueError("record loop must be a braid word string")
         return cls(s1, s2, sl, BraidWord.parse(genus, 2, loop))
-
-    def to_json(self):
-        return {"s1": self.sgn_p1, "s2": self.sgn_p2, "sl": self.sgn_loop,
-                "loop": str(self.loop) if self.loop.letters else ""}
 
 
 def evaluate_pairing(records, genus=1, mode="paper-formula"):
@@ -82,19 +78,3 @@ def worked_records(name, genus=1):
             _rec(genus, -1, 1, 1, "s1^-1 b1^-1 a1^-1 b1 s1"),
         ]
     raise ValueError(f"unknown fixture {name!r}")
-
-
-def dual_basis_records(genus=1):
-    """Record sets whose pairing matrix against the dual basis is the
-    identity.  The diagonal sets each hold the single positive point with
-    trivial loop; the off-diagonal pairs meet in cancelling or empty
-    configurations, so their record lists are empty.
-    """
-    size = 3
-    grid = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            row.append([_rec(genus, 1, 1, 1, "")] if i == j else [])
-        grid.append(row)
-    return grid

@@ -20,7 +20,7 @@ import itertools
 
 from . import aut, heis, ring
 from .heis import HeisElement
-from .ring import HeisPolynomial
+from .ring import HeisPolynomial, poly_latex
 
 
 class RepMatrix(heis.Record):
@@ -236,15 +236,8 @@ def matrix_Tb():
     return _standard_twist("b")
 
 
-def braid_composites():
-    """The two sides Ta Tb Ta and Tb Ta Tb of the braid relation."""
-    Mb = matrix_Tb()
-    return matrix_TaTbTa(), functools.reduce(compose_twisted, (Mb, matrix_Ta(), Mb))
-
-
 def matrix_TaTbTa():
-    """The braid-relation composite Ta Tb Ta, folded once; braid_composites
-    builds both sides for the relation check."""
+    """The braid-relation composite Ta Tb Ta, folded once."""
     Ma = matrix_Ta()
     return functools.reduce(compose_twisted, (Ma, matrix_Tb(), Ma))
 
@@ -262,6 +255,23 @@ def _boundary_twist(aba):
     if not result.source_twist.is_identity():
         raise ArithmeticError("boundary twist acquired a nontrivial twist")
     return result
+
+
+def verify_builtin_matrices():
+    """[(label, ok)] checks of the genus-1 matrices: the braid relation
+    Ta Tb Ta = Tb Ta Tb, aba and the boundary twist against their fixtures,
+    and the boundary twist in the u-quotient.  The aba built for the braid
+    relation is reused for the boundary twist."""
+    Mb = matrix_Tb()
+    aba, bab = matrix_TaTbTa(), functools.reduce(compose_twisted, (Mb, matrix_Ta(), Mb))
+    Md = _boundary_twist(aba)
+    return [("braid identity", aba.entries == bab.entries),
+            ("braid identity matches fixture",
+             aba.entries == fixture_matrix("action_aba").entries),
+            ("boundary twist matches fixture",
+             Md.entries == fixture_matrix("boundary_twist").entries),
+            ("boundary twist dies in the u-quotient",
+             is_specialized_identity(specialize_matrix(Md, "moriyama")))]
 
 
 def embed_poly(p, genus):
@@ -307,7 +317,7 @@ def matrix_separating_twist(g):
 
 
 # ---------------------------------------------------------------------------
-# Untwisting and rescaling.
+# Untwisting.
 # ---------------------------------------------------------------------------
 
 def untwist(M, h):
@@ -328,32 +338,9 @@ def scalar_mul(M, h):
     return RepMatrix(M.genus, entries, M.source_twist)
 
 
-def rescale(family, q, mu, k, central):
-    """Divide a central character out of a family of generator matrices.
-
-    family maps generator names to RepMatrix; q maps names to integers with
-    q[central] = k != 0; mu is a central group element with
-    family[central] = mu^k . Id.  Each matrix is multiplied by mu^-q(name),
-    after which the central generator maps to the identity.
-    """
-    if k == 0:
-        raise ValueError("central exponent k must be nonzero")
-    genus = family[central].genus
-    if q[central] != k:
-        raise ValueError("q(central) must equal k")
-    expected = scalar_mul(identity_matrix(genus, family[central].rows), mu ** k)
-    if family[central].entries != expected.entries:
-        raise ValueError("central generator is not mu^k times the identity")
-    return {name: scalar_mul(M, mu ** (-q[name])) for name, M in family.items()}
-
-
 # ---------------------------------------------------------------------------
 # LaTeX export.
 # ---------------------------------------------------------------------------
-
-def poly_latex(p):
-    return ring.format_sum(p.sorted_terms(), latex=True)
-
 
 def matrix_latex(M):
     rows = [" & ".join(poly_latex(p) for p in row) for row in M.entries]

@@ -347,6 +347,10 @@ def format_sum(pairs, latex=False):
     return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
+def poly_latex(p):
+    return format_sum(p.sorted_terms(), latex=True)
+
+
 class HeisPolynomial:
     """Element of the group ring, stored as fibres {coords: {k: nonzero int}}
     that are shared between polynomials and never written after construction.
@@ -440,22 +444,6 @@ class HeisPolynomial:
 
     def to_json(self):
         return [{"k": e.k, "coords": list(e.coords), "c": c} for e, c in self.sorted_terms()]
-
-    @classmethod
-    def from_json(cls, genus, data):
-        """Inverse of to_json; ValueError unless data has that shape."""
-        n = 2 * genus
-        try:
-            ok = isinstance(data, list) and all(
-                type(t["k"]) is int and type(t["c"]) is int and len(t["coords"]) == n
-                and all(type(x) is int for x in t["coords"]) for t in data)
-        except (KeyError, TypeError):
-            ok = False
-        if not ok:
-            raise ValueError(f'polynomial JSON must be [{{"k": int, "coords": [{n} ints], '
-                             '"c": int}, ...]')
-        return cls(genus, [(HeisElement(genus, t["k"], tuple(t["coords"])), t["c"])
-                           for t in data])
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,37 @@ def test_every_reader_refuses_what_its_ascii_spelling_is_not(capsys, tmp_path, b
     assert run(capsys, *_with_fixture(tmp_path, good)) == (0, out)
 
 
+_VERIFY_N3 = "".join(f"{name}: pass\n" for name in [
+    "unitary[u]", "unitary[a1]", "unitary[b1]",
+    *(f"hom[{x},{y}]" for x in ("u", "a1", "b1") for y in ("u", "a1", "b1")), "commutator[1]"])
+
+
+# Integer options read ASCII digits with an optional minus, as every word
+# reader does.  Each row is a refused spelling, its ASCII spelling, and the
+# exit code and stdout of that.
+@pytest.mark.parametrize("bad, good, want", [
+    (["mul", "--genus", "\u0662", "--plain", "a2"], ["mul", "--genus", "2", "--plain", "a2"],
+     (0, "a2\n")),
+    (["mul", "--genus", " 2_0", "--plain", "a2"], ["mul", "--genus", "20", "--plain", "a2"],
+     (1, "")),
+    (["mul", "--genus", "+2", "--plain", "a2"], ["mul", "--genus", "2", "--plain", "a2"],
+     (0, "a2\n")),
+    (["phi", "--strands", "\u0663", "s2"], ["phi", "--strands", "3", "s2"],
+     (0, '{"word": "u", "pair": "(1; 0,0)"}\n')),
+    (["schrodinger", "--N", "\u0663"], ["schrodinger", "--N", "3"], (0, _VERIFY_N3)),
+    (["morita", "--d", "\u0661", "--word", "a1 b1"], ["morita", "--d", "1", "--word", "a1 b1"],
+     (0, "1\n")),
+    (["aut", "--twist", "a", "--index", "\u0661"], ["aut", "--twist", "a", "--index", "1"],
+     (0, '{"delta": [0, -1], "S": [[1, -1], [0, 1]]}\n')),
+])
+def test_integer_options_are_ascii(capsys, bad, good, want):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(bad)
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert run(capsys, *good) == want
+
+
 @pytest.mark.parametrize("argv", [["--d", "0", "--word", "a0 b0"], ["--d", "-1", "--word", "a1"],
                                   ["--d", "0", "--word", "a1 b1"], ["--d", "1", "--word", "a0"],
                                   ["--d", "1", "--word", "a1 b0"]])
@@ -452,7 +483,7 @@ def test_small_N_refused_before_numpy(argv):
     (["phi", "s1 a1^-1 b1"], {"heis", "braid"}),
     (["mul", "a b", "b^-1"], {"heis", "ring"}),
     (["mul", "--specialize", "torsion5", "a b"], {"heis", "ring"}),
-    (["mul", "--latex", "a b"], {"heis", "ring", "aut", "repmatrix"}),
+    (["mul", "--latex", "a b"], {"heis", "ring"}),
     (["specialize", "--specialize", "abelian", "a b"], {"heis", "ring"}),
     (["aut", "--twist", "a"], {"heis", "aut"}),
     (["aut", "--inner", "a1"], {"heis", "aut"}),

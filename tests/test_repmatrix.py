@@ -137,6 +137,25 @@ def test_boundary_twist_folds_aba_once(monkeypatch):
     assert len(calls) == 5
 
 
+def test_verify_builtin_matrices_builds_aba_once(monkeypatch):
+    # Ta Tb Ta and Tb Ta Tb (2 each), then the boundary twist as the fourth
+    # power of the aba already built (3): 7 twisted compositions
+    calls = []
+    honest = rm.compose_twisted
+
+    def counted(*args):
+        calls.append(args)
+        return honest(*args)
+
+    monkeypatch.setattr(rm, "compose_twisted", counted)
+    checks = rm.verify_builtin_matrices()
+    assert [label for label, _ in checks] == [
+        "braid identity", "braid identity matches fixture",
+        "boundary twist matches fixture", "boundary twist dies in the u-quotient"]
+    assert all(ok for _, ok in checks)
+    assert len(calls) == 7
+
+
 def test_separating_twist():
     M = rm.matrix_separating_twist(2)
     assert (M.rows, M.cols) == (10, 10)
@@ -335,30 +354,13 @@ def test_untwist_synthetic():
         rm.untwist(rm.matrix_Ta(), heis.identity(1))
 
 
-def test_rescale():
-    g = 1
-    mu = heis.u(1)
-    central = rm.scalar_mul(rm.identity_matrix(g, 2), mu ** 2)
-    rng = random.Random(24)
-    other = random_monomial_matrix(rng, g, 2)
-    family = {"z": central, "x": other}
-    out = rm.rescale(family, {"z": 2, "x": 0}, mu, 2, "z")
-    assert out["z"].entries == rm.identity_matrix(g, 2).entries
-    assert out["x"].entries == other.entries
-    out2 = rm.rescale(family, {"z": 2, "x": 3}, mu, 2, "z")
-    assert out2["x"].entries == rm.scalar_mul(other, mu ** (-3)).entries
-    with pytest.raises(ValueError):
-        rm.rescale(family, {"z": 2, "x": 0}, mu, 0, "z")
-    with pytest.raises(ValueError):
-        rm.rescale({"z": other, "x": other}, {"z": 2, "x": 0}, mu, 2, "z")
-
-
 def test_json_and_latex_export():
     Ma = rm.matrix_Ta()
     data = Ma.to_json()
     assert (data["rows"], data["cols"]) == (3, 3)
     assert data["twist"] == Ma.source_twist.to_json()
-    assert HeisPolynomial.from_json(1, data["entries"][0][1]) == Ma.entry(0, 1)
+    # the entry u^2 a1^-2 b1^2 in pair form
+    assert data["entries"][0][1] == [{"k": -2, "coords": [-2, 2], "c": 1}]
     tex = rm.matrix_latex(Ma)
     assert tex.startswith("\\begin{pmatrix}")
     assert "u^{2} a^{-2} b^{2}" in tex
