@@ -165,11 +165,10 @@ def morita_crossed_hom(genus, tables):
     names = heis.generator_names(genus)[1:]
     images = [heis.from_word(genus, tables[name]) for name in names]
     S = tuple(zip(*(x.coords for x in images)))
-    if not is_symplectic(S, genus):
-        raise ValueError("action is not symplectic on homology")
+    phi = HeisAutomorphism(genus, tuple(x.k for x in images), S)  # checks S is symplectic
     for name in names:
         _check_letters(tables[name])
-    return HeisAutomorphism(genus, tuple(x.k for x in images), S)
+    return phi
 
 
 # ---------------------------------------------------------------------------

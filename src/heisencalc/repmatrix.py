@@ -203,24 +203,14 @@ def basis_enumerate(g, n):
 # Built-in matrices.
 # ---------------------------------------------------------------------------
 
-def _load_fixture():
+@functools.cache
+def fixture_matrix(name):
+    """Transcribed genus-1 reference matrix by name, as a plain (untwisted) RepMatrix."""
     import importlib.resources  # only the fixture matrices need these two
     import json
     text = (importlib.resources.files("heisencalc")
             .joinpath("fixtures/twist_matrices.json").read_text())
-    return json.loads(text)
-
-
-@functools.cache
-def fixture_matrix(name):
-    """Transcribed genus-1 reference matrix by name, as a plain (untwisted) RepMatrix."""
-    return matrix_from_strings(1, _load_fixture()[name])
-
-
-def fixture_blocks(genus=1):
-    data = _load_fixture()
-    return {k: ring.parse_poly(genus, v)
-            for k, v in data["separating_blocks"].items()}
+    return matrix_from_strings(1, json.loads(text)[name])
 
 
 def _standard_twist(kind):
@@ -288,28 +278,22 @@ def matrix_separating_twist(g):
     """Block matrix of the twist along a separating curve around the first
     handle, at genus g >= 2 with two points.
 
-    Blocks follow basis_enumerate(g, 2): the leading 3x3 block is the
-    boundary twist matrix of the handle, the two middle blocks of size
-    2g - 2 mix by the scalars p, q, r, s, and the rest is the identity.
+    Blocks follow basis_enumerate(g, 2): the genus-1 boundary twist on the
+    leading three indices and the genus-1 separating_blocks on each pair
+    v(a1, e), v(b1, e), both embedded by embed_poly; the rest is the identity.
     """
     if g < 2:
         raise ValueError("separating twist needs genus >= 2")
     size = len(basis_enumerate(g, 2))
     mid = 2 * g - 2
-    lam = matrix_boundary_twist()
-    blocks = fixture_blocks(genus=g)
-    p, q, r, s = blocks["p"], blocks["q"], blocks["r"], blocks["s"]
     zero, one = HeisPolynomial.zero(g), HeisPolynomial.one(g)
     entries = [[zero] * size for _ in range(size)]
-    for i in range(3):
-        for j in range(3):
-            entries[i][j] = embed_poly(lam.entries[i][j], g)
-    for t in range(mid):
-        i2, i3 = 3 + t, 3 + mid + t
-        entries[i2][i2] = p
-        entries[i2][i3] = r
-        entries[i3][i2] = q
-        entries[i3][i3] = s
+    blocks = [(matrix_boundary_twist(), (0, 1, 2))]
+    blocks += [(fixture_matrix("separating_blocks"), (3 + t, 3 + mid + t)) for t in range(mid)]
+    for block, at in blocks:
+        for i, row in zip(at, block.entries):
+            for j, p in zip(at, row):
+                entries[i][j] = embed_poly(p, g)
     for i in range(3 + 2 * mid, size):
         entries[i][i] = one
     return RepMatrix(g, tuple(tuple(row) for row in entries),

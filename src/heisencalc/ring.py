@@ -146,11 +146,11 @@ def _key_layout(n, coords, tags=0):
     return width, range(0, 8 * width * n, 8 * width), _bias(n, width), 8 * width * n
 
 
-def _mul_into(acc, left, right, layout, twisted=True, modulus=0):
+def _mul_into(acc, left, right, layout, modulus=0):
     """Add the product of packed left and right to acc {key: packed sum}:
     (k, x)(l, y) = (k + l + omega(x, y), x + y) has the key
     key(x, k) + key(y, l) + omega(x, y) 2^top, tags included, omega reduced
-    mod a nonzero modulus and left out unless twisted.  The operand of more
+    mod a nonzero modulus and left out mod 1.  The operand of more
     fibres is flattened into columns, one entry per run: keys, coefficients
     and the n coordinates of dual(y) 2^top, with omega(x, y) the dot product
     of x[::2] + x[1::2] and dual(y) (negated for a flat left).  Per fibre x
@@ -158,7 +158,7 @@ def _mul_into(acc, left, right, layout, twisted=True, modulus=0):
     scaled by the nonzero x_j, and each pair of runs costs one product."""
     _, shifts, bias, top = layout
     add, mul, lshift, repeat = operator.add, operator.mul, operator.lshift, itertools.repeat
-    scale = 1 << top if twisted else 0
+    scale = 1 << top if modulus != 1 else 0
     if len(left) > len(right):
         left, right, scale = right, left, -scale
     keys, coeffs, duals = [], [], []
@@ -267,34 +267,34 @@ def _single(fibres):
     return None
 
 
-def _translated(term, fibres, on_left, twisted, modulus):
+def _translated(term, fibres, on_left, modulus):
     """Fibres of term * fibres (or fibres * term unless on_left): each fibre
     moves as a whole, with no packing."""
     x, k, c = term
     out = {}
     for y, f in fibres.items():
-        w = k + ((heis.omega(x, y) if on_left else heis.omega(y, x)) if twisted else 0)
+        w = k + ((heis.omega(x, y) if on_left else heis.omega(y, x)) if modulus != 1 else 0)
         out[tuple(map(operator.add, x, y))] = {l + w: c * d for l, d in f.items()}
     return _pruned(out, modulus) if modulus else out
 
 
-def _fibre_mul(left, right, twisted=True, modulus=0):
+def _fibre_mul(left, right, modulus=0):
     """Fibres of the product (see _mul_into), every k reduced mod a nonzero
     modulus.  A single-term operand translates the other's fibres."""
     if not (left and right):
         return {}
     term = _single(left)
     if term:
-        return _translated(term, right, True, twisted, modulus)
+        return _translated(term, right, True, modulus)
     term = _single(right)
     if term:
-        return _translated(term, left, False, twisted, modulus)
+        return _translated(term, left, False, modulus)
     layout = _key_layout(len(next(iter(left))), itertools.chain(left, right))
     # with no fibre to pack, every sum is one slot
     width = (_slot_width(_l1_norm(left) * _l1_norm(right))
              if max(map(len, itertools.chain(left.values(), right.values()))) >= _MIN_RUN else 0)
     acc = {}
-    _mul_into(acc, _pack(left, width), _pack(right, width), layout, twisted, modulus)
+    _mul_into(acc, _pack(left, width), _pack(right, width), layout, modulus)
     return _unpack(acc, layout, width, modulus)
 
 
@@ -570,19 +570,19 @@ def parse_poly(genus, text):
 
 class Quotient(heis.Record):
     """A quotient ring of the group ring, named as on the command line, as
-    kernel parameters and a map of fibres.  'torsion<N>' (modulo u^N) places
-    (k, x) at (x, k mod N), twisted, modulus N; 'moriyama' (Z[u]/(u^2-1)) at
-    ((), k - quadratic(x) mod 2), the word-form exponent, untwisted, modulus
-    2; 'abelian' (u -> 1) at (x, 0), untwisted.  place(fibres) is the fibres
-    of the placed terms, key(coords, k) the printed and sorted key of a
-    placed term, and lift(genus, key) a group element with that key, which
-    a sum prints.
+    a modulus and a map of fibres; omega vanishes mod 1.  'torsion<N>'
+    (modulo u^N) places (k, x) at (x, k mod N), modulus N; 'moriyama'
+    (Z[u]/(u^2-1)) at ((), k - quadratic(x) mod 2), the word-form exponent,
+    modulus 2; 'abelian' (u -> 1) at (x, 0), modulus 1.  place(fibres) is
+    the fibres of the placed terms, key(coords, k) the printed and sorted
+    key of a placed term, and lift(genus, key) a group element with that
+    key, which a sum prints.
     """
-    __slots__ = ("name", "modulus", "twisted", "place", "key", "lift")
-    _fields = ("name", "modulus", "twisted")  # so two torsion(N) are interchangeable
+    __slots__ = ("name", "modulus", "place", "key", "lift")
+    _fields = ("name", "modulus")  # so two torsion(N) are interchangeable
 
-    def __init__(self, name, modulus, twisted, place, key, lift):
-        self._init(name, modulus, twisted, place, key, lift)
+    def __init__(self, name, modulus, place, key, lift):
+        self._init(name, modulus, place, key, lift)
 
 
 def _place_moriyama(fibres):
@@ -601,12 +601,12 @@ def _place_abelian(fibres):
 
 
 MORIYAMA = Quotient(
-    "moriyama", 2, False, _place_moriyama,
+    "moriyama", 2, _place_moriyama,
     lambda x, k: k,
     lambda genus, key: HeisElement(genus, key, (0,) * (2 * genus)))
 
 ABELIAN = Quotient(
-    "abelian", 0, False, _place_abelian,
+    "abelian", 1, _place_abelian,
     lambda x, k: x,
     lambda genus, key: HeisElement(genus, heis.quadratic(key), key))
 
@@ -621,7 +621,7 @@ def torsion(N):
         q = heis.quadratic(key[1])
         return HeisElement(genus, q + (key[0] - q) % N, key[1])
 
-    return Quotient(f"torsion{N}", N, True, lambda fibres: _pruned(fibres, N),
+    return Quotient(f"torsion{N}", N, lambda fibres: _pruned(fibres, N),
                     lambda x, k: (k, x), lift)
 
 
@@ -655,6 +655,8 @@ class SpecializedPolynomial(heis.Record):
         return hash((self.quotient, self.genus, self.terms))
 
     def _target(self, other):
+        if not isinstance(other, SpecializedPolynomial):
+            raise TypeError("expected a SpecializedPolynomial")
         if (self.quotient, self.genus) != (other.quotient, other.genus):
             raise ValueError("specialization target mismatch")
         return self.quotient
@@ -665,8 +667,8 @@ class SpecializedPolynomial(heis.Record):
 
     def __mul__(self, other):
         q = self._target(other)
-        return SpecializedPolynomial(q, self.genus, _fibre_mul(
-            self.fibres, other.fibres, q.twisted, q.modulus))
+        return SpecializedPolynomial(q, self.genus,
+                                     _fibre_mul(self.fibres, other.fibres, q.modulus))
 
     def is_one(self):
         return self == specialize(HeisPolynomial.one(self.genus), self.quotient)

@@ -61,18 +61,20 @@ def test_criterion_4_separating_twist():
     M = rm.matrix_separating_twist(2)
     ok = (M.rows, M.cols) == (10, 10)
     Md = rm.matrix_boundary_twist()
-    blocks = rm.fixture_blocks(genus=2)
     ok &= all(M.entry(i, j) == rm.embed_poly(Md.entry(i, j), 2)
               for i in range(3) for j in range(3))
-    ok &= blocks["p"] == parse_poly(2, "-a^-1 b + u^-2 b + u^-2 a^-1")
-    ok &= blocks["q"] == parse_poly(2, "1 - a + u^-2 - u^-2 a^-1")
-    ok &= blocks["r"] == parse_poly(2, "a^-1 (-b + b^2 + u^-2 - u^-2 b)")
-    ok &= blocks["s"] == parse_poly(2, "1 - b + u^-2 + u^-2 a^-1 b - u^-2 a^-1")
+    # the 2x2 block [[p, r], [q, s]], embedded at genus 2
+    (p, r), (q, s) = (tuple(rm.embed_poly(x, 2) for x in row)
+                      for row in rm.fixture_matrix("separating_blocks").entries)
+    ok &= p == parse_poly(2, "-a^-1 b + u^-2 b + u^-2 a^-1")
+    ok &= q == parse_poly(2, "1 - a + u^-2 - u^-2 a^-1")
+    ok &= r == parse_poly(2, "a^-1 (-b + b^2 + u^-2 - u^-2 b)")
+    ok &= s == parse_poly(2, "1 - b + u^-2 + u^-2 a^-1 b - u^-2 a^-1")
     for t in range(2):
-        ok &= M.entry(3 + t, 3 + t) == blocks["p"]
-        ok &= M.entry(3 + t, 5 + t) == blocks["r"]
-        ok &= M.entry(5 + t, 3 + t) == blocks["q"]
-        ok &= M.entry(5 + t, 5 + t) == blocks["s"]
+        ok &= M.entry(3 + t, 3 + t) == p
+        ok &= M.entry(3 + t, 5 + t) == r
+        ok &= M.entry(5 + t, 3 + t) == q
+        ok &= M.entry(5 + t, 5 + t) == s
     for i in range(10):
         for j in range(10):
             in_lam = i < 3 and j < 3

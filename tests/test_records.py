@@ -33,8 +33,8 @@ REPRS = [
     "BraidWord(genus=1, strands=2, letters=(('s1', 1), ('a1', -1)))",
     "IntersectionRecord(sgn_p1=1, sgn_p2=-1, sgn_loop=1, "
     "loop=BraidWord(genus=1, strands=2, letters=(('s1', 1), ('a1', -1))))",
-    "Quotient(name='torsion5', modulus=5, twisted=True)",
-    "SpecializedPolynomial(quotient=Quotient(name='abelian', modulus=0, twisted=False), "
+    "Quotient(name='torsion5', modulus=5)",
+    "SpecializedPolynomial(quotient=Quotient(name='abelian', modulus=1), "
     "genus=1, fibres={(1, 0): {0: 1}, (0, 0): {0: 2}})",
     "RepMatrix(genus=1, entries=((HeisPolynomial(1 + a1), HeisPolynomial(0)),), "
     "source_twist=HeisAutomorphism(genus=1, delta=(0, 0), S=((1, 0), (0, 1))))",

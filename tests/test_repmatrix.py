@@ -156,26 +156,27 @@ def test_verify_builtin_matrices_builds_aba_once(monkeypatch):
     assert len(calls) == 7
 
 
-def test_separating_twist():
-    M = rm.matrix_separating_twist(2)
-    assert (M.rows, M.cols) == (10, 10)
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_separating_twist(g):
+    M = rm.matrix_separating_twist(g)
+    size, mid = len(rm.basis_enumerate(g, 2)), 2 * g - 2
+    assert (M.rows, M.cols) == (size, size)
     assert M.source_twist.is_identity()
     Md = rm.matrix_boundary_twist()
-    for i in range(3):
-        for j in range(3):
-            assert M.entry(i, j) == rm.embed_poly(Md.entry(i, j), 2)
-    blocks = rm.fixture_blocks(genus=2)
-    assert str(blocks["s"]) == str(parse_poly(
-        2, "1 - b + u^-2 + u^-2 a^-1 b - u^-2 a^-1"))
-    for t in range(2):
-        assert M.entry(3 + t, 3 + t) == blocks["p"]
-        assert M.entry(3 + t, 5 + t) == blocks["r"]
-        assert M.entry(5 + t, 3 + t) == blocks["q"]
-        assert M.entry(5 + t, 5 + t) == blocks["s"]
-    for i in range(7, 10):
-        for j in range(10):
-            expected = HeisPolynomial.one(2) if i == j else HeisPolynomial.zero(2)
-            assert M.entry(i, j) == expected
+    blocks = rm.fixture_matrix("separating_blocks")
+    assert (blocks.rows, blocks.cols) == (2, 2)
+    assert str(blocks.entry(1, 1)) == str(parse_poly(
+        1, "1 - b + u^-2 + u^-2 a^-1 b - u^-2 a^-1"))
+    # each genus-1 block at its indices, and the identity elsewhere
+    expected = {(i, j): Md.entry(i, j) for i in range(3) for j in range(3)}
+    for t in range(mid):
+        at = (3 + t, 3 + mid + t)
+        expected.update({(i, j): blocks.entry(r, c) for r, i in enumerate(at)
+                         for c, j in enumerate(at)})
+    for i in range(size):
+        for j in range(size):
+            one = HeisPolynomial.one(1) if i == j else HeisPolynomial.zero(1)
+            assert M.entry(i, j) == rm.embed_poly(expected.get((i, j), one), g)
     assert rm.is_specialized_identity(rm.specialize_matrix(M, "moriyama"))
     with pytest.raises(ValueError):
         rm.matrix_separating_twist(1)

@@ -342,17 +342,41 @@ def test_specialized_kernel_matches_per_pair_reference(case, quot):
     assert (sp * sq + ring.specialize(-p, Q) * sq).is_zero()
 
 
+@given(genus_and_polys)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_abelian_products_match_torsion1(case):
+    """u -> 1 is the quotient mod u^1: placed by summing each fibre or by
+    reducing every k mod 1, products and sums have the same fibres."""
+    genus, (p, q, r) = case
+    for x, y in ((p, q), (q, p), (p, r), (p, p), (p, -p)):
+        a = [ring.specialize(z, ring.ABELIAN) for z in (x, y)]
+        t = [ring.specialize(z, ring.torsion(1)) for z in (x, y)]
+        assert a[0].fibres == t[0].fibres
+        assert (a[0] * a[1]).fibres == (t[0] * t[1]).fibres
+        assert (a[0] + a[1]).fibres == (t[0] + t[1]).fibres
+
+
+def test_specialized_ops_with_other_types_are_type_errors():
+    s = ring.specialize(parse_poly(1, "a + u"), ring.ABELIAN)
+    for other in (2, parse_poly(1, "a + u")):
+        with pytest.raises(TypeError, match="expected a SpecializedPolynomial"):
+            s + other
+        with pytest.raises(TypeError, match="expected a SpecializedPolynomial"):
+            s * other
+    with pytest.raises(ValueError, match="target mismatch"):
+        s * ring.specialize(parse_poly(1, "a + u"), ring.torsion(1))
+
+
 @given(genus_and_polys, quotients)
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 def test_packed_kernel_matches_loop_reference(case, quot):
-    """The packed kernel against the term-pair loop, with the kernel
-    parameters of the full ring and of each quotient."""
+    """The packed kernel against the term-pair loop, with the modulus of
+    the full ring and of each quotient."""
     genus, (p, q, r) = case
-    Q = ring.quotient(*quot)
-    for twisted, modulus in ((True, 0), (Q.twisted, Q.modulus)):
+    for modulus in (0, ring.quotient(*quot).modulus):
         for x, y in ((p, q), (q, p), (p, r), (p, p), (p, -p)):
-            assert (ring._fibre_mul(x.fibres, y.fibres, twisted, modulus)
-                    == loop_fibre_mul(x.fibres, y.fibres, twisted, modulus))
+            assert (ring._fibre_mul(x.fibres, y.fibres, modulus)
+                    == loop_fibre_mul(x.fibres, y.fibres, modulus))
 
 
 @given(st.integers(1, 2).flatmap(lambda g: st.tuples(st.just(g), shaped_polys(g, 12))),
@@ -400,14 +424,14 @@ def _summed(terms, modulus=0):
     return {x: f for x, f in fibres.items() if f}
 
 
-# (coordinates, kernel parameters): the full ring at genus 1-3 and 16, and
-# each quotient as SpecializedPolynomial multiplies in it (moriyama's placed
-# terms have no coordinates)
+# (coordinates, modulus): the full ring at genus 1-3 and 16, and each
+# quotient as SpecializedPolynomial multiplies in it (moriyama's placed
+# terms have no coordinates; abelian is modulus 1, as torsion1 is)
 kernel_cases = st.one_of(
-    st.tuples(st.sampled_from([2, 4, 6, 32]), st.just((True, 0))),
-    st.just((0, (False, 2))),
-    st.tuples(st.sampled_from([2, 4, 6]), st.just((False, 0))),
-    st.tuples(st.sampled_from([2, 4, 6]), st.integers(1, 7).map(lambda N: (True, N))))
+    st.tuples(st.sampled_from([2, 4, 6, 32]), st.just(0)),
+    st.just((0, 2)),
+    st.tuples(st.sampled_from([2, 4, 6]), st.just(1)),
+    st.tuples(st.sampled_from([2, 4, 6]), st.integers(1, 7)))
 
 
 @given(kernel_cases.flatmap(lambda case: st.tuples(st.just(case[1]),
@@ -417,16 +441,16 @@ def test_key_slots_match_loop_reference(case):
     """Integer keys against the term-pair loop: coordinate slots at every
     width, k far beyond any slot, omega of either sign reduced mod N, and
     terms whose sums cancel."""
-    (twisted, modulus), (p, q, r) = case
+    modulus, (p, q, r) = case
     neg = {x: {k: -c for k, c in f.items()} for x, f in p.items()}
     for x, y in ((p, q), (q, p), (p, r), (p, p), (p, neg), (neg, p)):
-        want = loop_fibre_mul(x, y, twisted, modulus)
-        assert ring._fibre_mul(x, y, twisted, modulus) == want
+        want = loop_fibre_mul(x, y, modulus)
+        assert ring._fibre_mul(x, y, modulus) == want
         if modulus:
             # placed operands, each k already reduced
             x, y = (_summed(((z, k, c) for z, f in o.items() for k, c in f.items()), modulus)
                     for o in (x, y))
-            assert ring._fibre_mul(x, y, twisted, modulus) == want
+            assert ring._fibre_mul(x, y, modulus) == want
 
 
 @given(st.sampled_from([1, 2, 3, 16]).flatmap(

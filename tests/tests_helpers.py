@@ -202,14 +202,14 @@ def dense_weil_residual(N, g, phi, U):
     return worst
 
 
-def loop_fibre_mul(left, right, twisted=True, modulus=0):
+def loop_fibre_mul(left, right, modulus=0):
     """Reference fibre product, term pair by term pair: (k, x)(l, y) is
-    (k + l + omega(x, y), x + y), without omega unless twisted, then every k
-    reduced mod a nonzero modulus."""
+    (k + l + omega(x, y), x + y), omega always added, then every k reduced
+    mod a nonzero modulus."""
     out = {}
     for x, fx in left.items():
         for y, fy in right.items():
-            w = heis.omega(x, y) if twisted else 0
+            w = heis.omega(x, y)
             acc = out.setdefault(tuple(map(operator.add, x, y)), {})
             for k, c in fx.items():
                 for l, d in fy.items():
