@@ -88,6 +88,7 @@ class HeisAutomorphism(heis.Record):
         if not ok:
             raise ValueError('automorphism JSON must be {"delta": [int, ...], '
                              '"S": [[int, ...], ...]}')
+        heis.check_genus(max(len(S) // 2, 1))  # one row: a dimension mismatch below
         S = tuple(tuple(r) for r in S)
         return cls(len(S) // 2, tuple(delta), S)
 
@@ -184,11 +185,10 @@ def twist_pi1_table(genus, kind, index=1):
     """pi_1 action of the twist along a_index ('a') or b_index ('b')."""
     if kind not in ("a", "b") or not 1 <= index <= genus:
         raise ValueError("bad twist specification")
-    table = {name: [(name, 1)] for name in heis.generator_names(genus)[1:]}
-    if kind == "a":
-        table[f"b{index}"] = [(f"a{index}", -1), (f"b{index}", 1)]
-    else:
-        table[f"a{index}"] = [(f"a{index}", 1), (f"b{index}", 1)]
+    table = {name: heis.parse_word(name) for name in heis.generator_names(genus)[1:]}
+    a, b = f"a{index}", f"b{index}"
+    name, text = (b, f"{a}^-1 {b}") if kind == "a" else (a, f"{a} {b}")
+    table[name] = heis.parse_word(text)
     return table
 
 
@@ -211,12 +211,9 @@ def bounding_pair_table(genus=2):
     """
     if genus < 2:
         raise ValueError("bounding pair needs genus >= 2")
-    comm = [("a2", 1), ("b2", 1), ("a2", -1), ("b2", -1)]
-    comm_inv = [("b2", 1), ("a2", 1), ("b2", -1), ("a2", -1)]
-    wrap = comm + [("a1", 1), ("b1", 1), ("a1", -1)]
-    wrap_inv = [("a1", 1), ("b1", -1), ("a1", -1)] + comm_inv
-    table = {name: [(name, 1)] for name in heis.generator_names(genus)[1:]}
-    table["a1"] = comm + [("a1", 1)]
-    table["a2"] = wrap + [("a2", 1)] + wrap_inv
-    table["b2"] = wrap + [("b2", 1)] + wrap_inv
+    table = {name: heis.parse_word(name) for name in heis.generator_names(genus)[1:]}
+    table.update((name, heis.parse_word(text)) for name, text in [
+        ("a1", "a2 b2 a2^-1 b2^-1 a1"),
+        ("a2", "a2 b2 a2^-1 b2^-1 a1 b1 a1^-1 a2 a1 b1^-1 a1^-1 b2 a2 b2^-1 a2^-1"),
+        ("b2", "a2 b2 a2^-1 b2^-1 a1 b1 a1^-1 b2 a1 b1^-1 a1^-1 b2 a2 b2^-1 a2^-1")])
     return table

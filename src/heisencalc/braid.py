@@ -67,60 +67,35 @@ def phi(w):
                                     for name, exp in w.letters])
 
 
-def _w(genus, strands, *letters):
-    return BraidWord(genus, strands, tuple(letters))
-
-
 def bellingeri_relations(genus, strands):
     """All instances of the defining relations at the given parameters.
 
-    Yields (label, left word, right word).  The relation families are the
-    braid relations among the s_i, the commutation relations between handle
-    generators and the s_i, and the mixed relations tying the two kinds
-    together.
+    Returns (label, left word, right word), each word written as text and read
+    by BraidWord.parse.  The relation families are the braid relations among
+    the s_i, the commutation relations between handle generators and the s_i,
+    and the mixed relations tying the two kinds together.
     """
     g, n = genus, strands
-    out = []
+    handles = range(1, g + 1)
     # (BR1) distant half twists commute
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            out.append((f"BR1[{i},{j}]",
-                        _w(g, n, (f"s{i}", 1), (f"s{j}", 1)),
-                        _w(g, n, (f"s{j}", 1), (f"s{i}", 1))))
+    texts = [(f"BR1[{i},{j}]", f"s{i} s{j}", f"s{j} s{i}")
+             for i in range(1, n) for j in range(i + 2, n)]
     # (BR2) adjacent half twists braid
-    for i in range(1, n - 1):
-        j = i + 1
-        out.append((f"BR2[{i},{j}]",
-                    _w(g, n, (f"s{i}", 1), (f"s{j}", 1), (f"s{i}", 1)),
-                    _w(g, n, (f"s{j}", 1), (f"s{i}", 1), (f"s{j}", 1))))
+    texts += [(f"BR2[{i},{i + 1}]", f"s{i} s{i + 1} s{i}", f"s{i + 1} s{i} s{i + 1}")
+              for i in range(1, n - 1)]
     # (CR1) handle generators commute with s_i, i > 1
-    for r in range(1, g + 1):
-        for i in range(2, n):
-            for x in (f"a{r}", f"b{r}"):
-                out.append((f"CR1[{x},s{i}]",
-                            _w(g, n, (x, 1), (f"s{i}", 1)),
-                            _w(g, n, (f"s{i}", 1), (x, 1))))
+    texts += [(f"CR1[{x}{r},s{i}]", f"{x}{r} s{i}", f"s{i} {x}{r}")
+              for r in handles for i in range(2, n) for x in "ab"]
     # (CR2) x commutes with s1 x s1
-    for r in range(1, g + 1):
-        for x in (f"a{r}", f"b{r}"):
-            out.append((f"CR2[{x}]",
-                        _w(g, n, (x, 1), ("s1", 1), (x, 1), ("s1", 1)),
-                        _w(g, n, ("s1", 1), (x, 1), ("s1", 1), (x, 1))))
+    texts += [(f"CR2[{x}{r}]", f"{x}{r} s1 {x}{r} s1", f"s1 {x}{r} s1 {x}{r}")
+              for r in handles for x in "ab"]
     # (CR3) x_r commutes with s1^-1 y_s s1 for r < s
-    for r in range(1, g + 1):
-        for s in range(r + 1, g + 1):
-            for x in (f"a{r}", f"b{r}"):
-                for y in (f"a{s}", f"b{s}"):
-                    conj = (("s1", -1), (y, 1), ("s1", 1))
-                    out.append((f"CR3[{x},{y}]",
-                                _w(g, n, (x, 1), *conj),
-                                _w(g, n, *conj, (x, 1))))
+    texts += [(f"CR3[{x}{r},{y}{s}]", f"{x}{r} s1^-1 {y}{s} s1", f"s1^-1 {y}{s} s1 {x}{r}")
+              for r in handles for s in range(r + 1, g + 1) for x in "ab" for y in "ab"]
     # (SCR) s1 b_r s1 a_r s1 = a_r s1 b_r
-    for r in range(1, g + 1):
-        out.append((f"SCR[{r}]",
-                    _w(g, n, ("s1", 1), (f"b{r}", 1), ("s1", 1), (f"a{r}", 1), ("s1", 1)),
-                    _w(g, n, (f"a{r}", 1), ("s1", 1), (f"b{r}", 1))))
-    return out
+    texts += [(f"SCR[{r}]", f"s1 b{r} s1 a{r} s1", f"a{r} s1 b{r}") for r in handles]
+    return [(label, BraidWord.parse(g, n, lhs), BraidWord.parse(g, n, rhs))
+            for label, lhs, rhs in texts]
 
 
 def verify_bellingeri(genus, strands):

@@ -130,17 +130,15 @@ def cmd_compose(args):
 
 def cmd_pairing(args):
     from . import pairing
-    if args.fixture:
+    if args.builtin:  # the one other mode is --fixture, whose path may be ''
+        records = pairing.worked_records(args.builtin, args.genus)
+    else:
         with open(args.fixture) as fh:
             data = json.load(fh)
         if not isinstance(data, list):
             raise ValueError("fixture must be a JSON list of records")
         records = [pairing.IntersectionRecord.from_json(args.genus, d)
                    for d in data]
-    elif args.builtin:
-        records = pairing.worked_records(args.builtin, args.genus)
-    else:
-        raise ValueError("need --fixture or --builtin")
     _emit_poly(pairing.evaluate_pairing(records, args.genus, args.mode), args.fmt)
 
 
@@ -262,9 +260,9 @@ def build_parser():
 
     sp = sub.add_parser("pairing", help="evaluate intersection pairing data")
     sp.add_argument("--genus", type=integer, default=1)
-    sp.add_argument("--fixture", help="path to a JSON list of records")
-    sp.add_argument("--builtin",
-                    choices=["ta-wb-wa", "ta-wb-vab", "s-entry"])
+    mode = sp.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--fixture", help="path to a JSON list of records")
+    mode.add_argument("--builtin", choices=["ta-wb-wa", "ta-wb-vab", "s-entry"])
     sp.add_argument("--mode", choices=["paper-formula", "oriented"],
                     default="paper-formula")
     _add_format_flags(sp)

@@ -260,19 +260,11 @@ def verify_presentation(genus):
     """Check the defining relations of the group for the given genus.
 
     Relations: u is central, a_i b_i = u^2 b_i a_i, and a_i b_j = b_j a_i
-    for i != j.  Returns a list of (relation description, bool).
+    for i != j, each side read by parse_element.  Returns a list of
+    (relation as text, bool).
     """
-    report = []
-    uu = u(genus)
-    for name, x in generators(genus):
-        report.append((f"u {name} = {name} u", uu * x == x * uu))
-    u2 = u(genus, 2)
-    for i in range(1, genus + 1):
-        for j in range(1, genus + 1):
-            ai, bj = gen_a(genus, i), gen_b(genus, j)
-            if i == j:
-                report.append((f"a{i} b{j} = u^2 b{j} a{i}",
-                               ai * bj == u2 * bj * ai))
-            else:
-                report.append((f"a{i} b{j} = b{j} a{i}", ai * bj == bj * ai))
-    return report
+    relations = [(f"u {x}", f"{x} u") for x in generator_names(genus)]
+    relations += [(f"a{i} b{j}", f"u^2 b{j} a{i}" if i == j else f"b{j} a{i}")
+                  for i in range(1, genus + 1) for j in range(1, genus + 1)]
+    return [(f"{lhs} = {rhs}", parse_element(genus, lhs) == parse_element(genus, rhs))
+            for lhs, rhs in relations]

@@ -1,6 +1,8 @@
+import hashlib
+
 import pytest
 
-from heisencalc import braid, heis
+from heisencalc import aut, braid, heis
 from heisencalc.braid import BraidWord
 
 
@@ -59,3 +61,28 @@ def test_relation_families_present():
     # genus 1 has no CR3 instances (needs r < s)
     labels1 = [label for label, _, _ in braid.bellingeri_relations(1, 3)]
     assert not any(l.startswith("CR3") for l in labels1)
+
+
+def _digest(x):
+    return hashlib.sha256(repr(x).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("genus, strands, digest", [
+    (1, 2, "ce5627e7caa07025d6e8742f603dfdb672f9c690c3a4b2608730e859efcb8c37"),
+    (2, 4, "45e9fb3f0d2ba67ebde4fbbc18a37fa2802ff4f49037369f37e8629c896c89fd"),
+    (3, 5, "08a3e70490cd5c86aeb43948ceabf2465975010cfc35cef1e90c3c026c0ad37a"),
+    (16, 128, "e90bf6dab0062de6f362e956b11ec6078db46dedd4d95f083ccc946ce3f6ceac")],
+    ids=["1-2", "2-4", "3-5", "16-128"])
+def test_relation_and_table_words_pinned(genus, strands, digest):
+    """The words themselves, not only their labels: phi passes any relation
+    whose two sides are written alike.  Each digest is of the repr of the
+    (name, exponent) letters, as the tuple literals first wrote them."""
+    relations = braid.bellingeri_relations(genus, strands)
+    assert _digest([(l, a.letters, b.letters) for l, a, b in relations]) == digest
+    tables = ([aut.bounding_pair_table(g) for g in (2, 3)]
+              + [aut.twist_pi1_table(g, k, i) for g in (1, 2, 3)
+                 for k in "ab" for i in range(1, g + 1)])
+    assert _digest(tables) == (
+        "fe385ef9d22fe92f2f567d4c94f63ec1729ce2791177583b3167cafe64a77966")
+    assert _digest([heis.verify_presentation(g) for g in (1, 2, 3, 16)]) == (
+        "d7c7a792d0a6ab3bd09e5ecd88c0bd563c04de0044cefa251660dcb0e49cb4bd")

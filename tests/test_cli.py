@@ -244,7 +244,10 @@ def one_line_error(capsys, *argv):
 
 @pytest.mark.parametrize("witness", [
     "{}", "[1]", "null", '{"delta": [], "S": []}',
-    '{"delta": [0,0], "S": [[1,0],[0,"x"]]}'])
+    '{"delta": [0,0], "S": [[1,0],[0,"x"]]}',
+    # a symplectic witness of genus 17, refused like --genus 17
+    pytest.param(json.dumps({"delta": [0] * 34, "S": [[int(i == j) for j in range(34)]
+                                                     for i in range(34)]}), id="genus17")])
 def test_aut_witness_malformed(capsys, witness):
     assert one_line_error(capsys, "aut", "--witness", witness)
 
@@ -351,6 +354,7 @@ def test_aut_and_morita(capsys):
     ["morita", "--d", "1", "--bounding-pair", "--twist", "a"],
     ["morita", "--d", "1", "--twist", "a"], ["morita", "--bounding-pair", "--twist", "b"],
     ["morita", "--d", "0", "--bounding-pair"], ["morita"], ["morita", "--word", "a1"],
+    ["pairing", "--fixture", "records.json", "--builtin", "s-entry", "--plain"], ["pairing"],
 ])
 def test_aut_and_morita_modes_exclusive_and_required(capsys, argv):
     # two modes, or none, are usage errors: no mode is silently dropped

@@ -2,7 +2,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from heisencalc import aut, heis, repmatrix as rm, ring
 from heisencalc.heis import HeisElement
@@ -367,8 +367,29 @@ def test_specialized_ops_with_other_types_are_type_errors():
         s * ring.specialize(parse_poly(1, "a + u"), ring.torsion(1))
 
 
+# Genus-1 operands for each path of _fibre_mul, with omega(x, y) = +-1 or +-2 between
+# fibres, so nonzero mod 3, 5 and 7: a single-term left operand (_translated),
+# fibres of single terms, and fibres of 4 and 5 consecutive terms (packed runs).
+OMEGA_OPERANDS = [("a", "b", "b + 2 a b"),
+                  ("a + 2 u b", "b - a b", "u^2 a + a b^2"),
+                  ("(1 + u + u^2 + u^3 + u^4) a + b", "(1 - 2 u + 3 u^2 - u^3) b + a b",
+                   "u a + (2 - u^2) b")]
+
+
+def omega_examples(to_args):
+    """hypothesis examples at moduli 3, 5 and 7 of every OMEGA_OPERANDS row:
+    to_args(N, polys) gives the test's arguments."""
+    def decorate(test):
+        for N in (3, 5, 7):
+            for texts in OMEGA_OPERANDS:
+                test = example(*to_args(N, tuple(parse_poly(1, t) for t in texts)))(test)
+        return test
+    return decorate
+
+
 @given(genus_and_polys, quotients)
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@omega_examples(lambda N, polys: ((1, polys), ("torsion", N)))
 def test_packed_kernel_matches_loop_reference(case, quot):
     """The packed kernel against the term-pair loop, with the modulus of
     the full ring and of each quotient."""
@@ -437,6 +458,7 @@ kernel_cases = st.one_of(
 @given(kernel_cases.flatmap(lambda case: st.tuples(st.just(case[1]),
                                                    key_slot_operands(case[0], 3))))
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@omega_examples(lambda N, polys: ((N, tuple(p.fibres for p in polys)),))
 def test_key_slots_match_loop_reference(case):
     """Integer keys against the term-pair loop: coordinate slots at every
     width, k far beyond any slot, omega of either sign reduced mod N, and
