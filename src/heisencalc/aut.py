@@ -41,6 +41,12 @@ class HeisAutomorphism(heis.Record):
             raise ValueError("S is not symplectic")
         self._init(genus, delta, S)
 
+    @classmethod
+    def _of(cls, genus, delta, S):  # S is symplectic by construction: not checked
+        out = cls.__new__(cls)
+        out._init(genus, delta, S)
+        return out
+
     def apply(self, x):
         if x.genus != self.genus:
             raise ValueError("genus mismatch")
@@ -58,7 +64,7 @@ class HeisAutomorphism(heis.Record):
                         for j in range(n)) for i in range(n))
         delta = tuple(f.delta[j] + sum(self.delta[k] * f.S[k][j] for k in range(n))
                       for j in range(n))
-        return HeisAutomorphism(self.genus, delta, S)
+        return HeisAutomorphism._of(self.genus, delta, S)
 
     def inverse(self):
         n = 2 * self.genus
@@ -68,7 +74,7 @@ class HeisAutomorphism(heis.Record):
                      for i in range(n))
         delta = tuple(-sum(self.delta[k] * Sinv[k][j] for k in range(n))
                       for j in range(n))
-        return HeisAutomorphism(self.genus, delta, Sinv)
+        return HeisAutomorphism._of(self.genus, delta, Sinv)
 
     def is_identity(self):
         return self == identity_aut(self.genus)
@@ -96,14 +102,14 @@ class HeisAutomorphism(heis.Record):
 def identity_aut(genus):
     n = 2 * genus
     S = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    return HeisAutomorphism(genus, (0,) * n, S)
+    return HeisAutomorphism._of(genus, (0,) * n, S)
 
 
 def inner_of(h):
     """The inner automorphism x -> h x h^-1, given by delta(y) = 2 omega(hbar, y)."""
     S = identity_aut(h.genus).S  # its rows are the basis vectors e_j
     delta = tuple(2 * heis.omega(h.coords, e) for e in S)
-    return HeisAutomorphism(h.genus, delta, S)
+    return HeisAutomorphism._of(h.genus, delta, S)
 
 
 def inner_witness(phi):

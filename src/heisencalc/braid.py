@@ -50,10 +50,7 @@ class BraidWord(heis.Record):
                          tuple((name, -exp) for name, exp in reversed(self.letters)))
 
     def __str__(self):
-        if not self.letters:
-            return "1"
-        return " ".join(name if exp == 1 else f"{name}^{exp}"
-                        for name, exp in self.letters)
+        return " ".join([heis.letter(name, exp) for name, exp in self.letters]) or "1"
 
     @classmethod
     def parse(cls, genus, strands, text):

@@ -29,14 +29,8 @@ def _add_format_flags(sp):
     sp.set_defaults(fmt="json")
 
 
-def _emit_poly(p, fmt):
-    if fmt == "json":
-        print(json.dumps(p.to_json()))
-    elif fmt == "latex":
-        from . import ring
-        print(ring.poly_latex(p))
-    else:
-        print(str(p))
+def _emit_poly(p, fmt):  # a HeisPolynomial or a SpecializedPolynomial
+    print(json.dumps(p.to_json()) if fmt == "json" else p.render(fmt == "latex"))
 
 
 BUILTIN_MATRICES = {
@@ -64,10 +58,9 @@ def cmd_mul(args):  # specialize EXPR is mul with one operand
     result = ring.parse_poly(args.genus, args.exprs[0])
     for text in args.exprs[1:]:
         result = ring.bounded_product(result, ring.parse_poly(args.genus, text))
-    if not args.specialize:
-        return _emit_poly(result, args.fmt)
-    s = ring.specialize(result, ring.quotient(args.specialize))
-    print(json.dumps(s.terms) if args.fmt == "json" else s)
+    if args.specialize:
+        result = ring.specialize(result, ring.quotient(args.specialize))
+    _emit_poly(result, args.fmt)
 
 
 def cmd_aut(args):
@@ -112,20 +105,14 @@ def cmd_compose(args):
         raise ValueError(f"ta, tb, aba and boundary need genus 1, got {args.genus}")
     mats = [BUILTIN_MATRICES[name](repmatrix, args.genus) for name in names]
     M = functools.reduce(repmatrix.compose_twisted, mats)
-    if args.specialize:
-        rows = repmatrix.specialize_matrix(M, args.specialize)
-        if args.fmt == "json":
-            print(json.dumps({"rows": M.rows, "cols": M.cols,
-                              "entries": [[str(p) for p in row] for row in rows]}))
-        else:
-            for row in rows:
-                print("[" + ", ".join(str(p) for p in row) + "]")
+    rows = repmatrix.specialize_matrix(M, args.specialize) if args.specialize else M.entries
+    if args.fmt == "latex":
+        print(repmatrix.matrix_latex(rows))
     elif args.fmt == "json":
-        print(json.dumps(M.to_json()))
-    elif args.fmt == "latex":
-        print(repmatrix.matrix_latex(M))
+        print(json.dumps(M.to_json() if not args.specialize else {
+            "rows": M.rows, "cols": M.cols, "entries": [[str(p) for p in row] for row in rows]}))
     else:
-        print(str(M))
+        print("\n".join("[" + ", ".join(map(str, row)) + "]" for row in rows))
 
 
 def cmd_pairing(args):
@@ -153,7 +140,7 @@ def cmd_schrodinger(args):
         return 0
     if args.weil:
         phi = aut.twist_aut(args.genus, args.weil, 1)
-        phi = aut.HeisAutomorphism(args.genus, (0,) * (2 * args.genus), phi.S)
+        phi = aut.HeisAutomorphism._of(args.genus, (0,) * (2 * args.genus), phi.S)
         U = schrodinger.weil_intertwiner(args.N, args.genus, phi)
         res = schrodinger.weil_residual(args.N, args.genus, phi, U)
         if not res <= args.tol:

@@ -152,14 +152,7 @@ class HeisElement(Record):
 
     def word_str(self, latex=False):
         """Word normal form, e.g. 'u^2 a1^-2 b1^2', or in LaTeX 'u^{2} a^{-2} b^{2}'."""
-        kappa, coords = self.word_exponents()
-        parts = []
-        for name, e in zip(generator_names(self.genus, latex), (kappa,) + coords):
-            if e == 1:
-                parts.append(name)
-            elif e:
-                parts.append(f"{name}^{{{e}}}" if latex else f"{name}^{e}")
-        return " ".join(parts) if parts else "1"
+        return word(self.k - quadratic(self.coords), letters(self.coords, latex), latex)
 
     def pair_str(self):
         return f"({self.k}; {','.join(str(c) for c in self.coords)})"
@@ -198,6 +191,26 @@ def generator_names(genus, latex=False):
     else:
         index = [str(i) for i in range(1, genus + 1)]
     return ("u",) + tuple(x + i for i in index for x in "ab")
+
+
+def letter(name, e, latex=False):
+    """The letter name to the power e != 0: 'a1^-2', 'a^{-2}' in LaTeX, 'a1' for e = 1."""
+    return name if e == 1 else f"{name}^{{{e}}}" if latex else f"{name}^{e}"
+
+
+def letters(coords, latex=False):
+    """The letters a_i^l_i b_i^m_i of a word normal form, e.g. 'a1^-2 b1^2'
+    (LaTeX 'a^{-2} b^{2}'), or '' when coords is zero."""
+    names = generator_names(len(coords) // 2, latex)
+    return " ".join([letter(names[i], e, latex) for i, e in enumerate(coords, 1) if e])
+
+
+def word(kappa, text, latex=False):
+    """The one word renderer: u^kappa, then the letters text (see letters),
+    or '1' for the empty word.  A sum builds the letters once per fibre."""
+    if not kappa:
+        return text or "1"
+    return f"{letter('u', kappa, latex)} {text}" if text else letter("u", kappa, latex)
 
 
 def generators(genus):

@@ -326,6 +326,6 @@ def scalar_mul(M, h):
 # LaTeX export.
 # ---------------------------------------------------------------------------
 
-def matrix_latex(M):
-    rows = [" & ".join(poly_latex(p) for p in row) for row in M.entries]
+def matrix_latex(M):  # a RepMatrix, or the rows of a specialized one
+    rows = [" & ".join(poly_latex(p) for p in row) for row in getattr(M, "entries", M)]
     return "\\begin{pmatrix}\n" + " \\\\\n".join(rows) + "\n\\end{pmatrix}"

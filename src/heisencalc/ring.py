@@ -15,8 +15,8 @@ in matrix products (fibre_mat_mul), with each term (k, x) an integer key:
   omega against every run of the operand of more fibres is computed once
   per fibre of the other, from columns of that operand's dual coordinates;
 - output: products are summed while packed under their keys, grouped by
-  coordinates, summed into runs and unpacked once per run, and the
-  coordinates of all output fibres decoded at once.
+  coordinates and summed into runs; the runs of every output fibre, then
+  the coordinates of all of them, are each decoded in one pass.
 
 A single-term operand translates the other's fibres instead.  The module
 also provides the three specialization homomorphisms (to Z[u]/(u^2-1), to
@@ -47,15 +47,6 @@ def _pruned(fibres, modulus=0):
         if f:
             out[x] = f
     return out
-
-
-def _collect(pairs):
-    """Fibres of the sum of ((coords, k), coeff) pairs."""
-    fibres = {}
-    for (x, k), c in pairs:
-        f = fibres.setdefault(x, {})
-        f[k] = f.get(k, 0) + c
-    return _pruned(fibres)
 
 
 def _add_fibres(left, right):
@@ -188,12 +179,11 @@ def _mul_into(acc, left, right, layout, modulus=0):
                 acc[k] = get(k, 0) + v * d
 
 
-def _slots(codes, size, width, bias):
-    """The slots of width bytes of codes of size bytes, lowest first: the
-    codes, unbiased by XOR (see _bias), are written out at once and read back
-    as signed slots (slot by slot past 8 bytes or on other hosts)."""
-    data = b"".join(map(int.to_bytes, map(operator.xor, codes, itertools.repeat(bias)),
-                        itertools.repeat(size), itertools.repeat("little")))
+def _slots(codes, sizes, width):
+    """The slots of width bytes of unbiased codes (see _bias), lowest first,
+    each code of its size in bytes: written out at once and read back at
+    once as signed slots (slot by slot past 8 bytes or on other hosts)."""
+    data = b"".join(map(int.to_bytes, codes, sizes, itertools.repeat("little")))
     if width in _FORMATS:
         return memoryview(data).cast(_FORMATS[width]).tolist()
     return [int.from_bytes(data[i:i + width], "little", signed=True)
@@ -221,8 +211,8 @@ def _runs(sums, width):
 def _unpack(acc, layout, width, modulus=0):
     """Fibres of the sum that acc holds (see _mul_into): the sums are grouped
     by coords, each k reduced mod a nonzero modulus, and the sums of more
-    than one slot (width 0: none) added while packed into runs (see _runs),
-    each run unpacked once.  The coords of all fibres are decoded at once."""
+    than one slot (width 0: none) added while packed into runs (see _runs).
+    The runs of all fibres are decoded at once, then the coords of all fibres."""
     cwidth, shifts, bias, top = layout
     mask = (1 << top) - 1
     fibres = {}
@@ -238,15 +228,22 @@ def _unpack(acc, layout, width, modulus=0):
                     f[k] = v
     half = 1 << (8 * width - 1) if width else 0
     if width and max(map(abs, acc.values()), default=0) >= half:
-        for z, f in fibres.items():
-            if max(map(abs, f.values()), default=0) >= half:
-                out = {}
-                for lo, hi, total in _runs(f, width):
-                    run_bias = _bias(hi - lo + 1, width)
-                    slots = _slots([total + run_bias], (hi - lo + 1) * width, width, run_bias)
-                    out.update({k: c for k, c in enumerate(slots, lo) if c})
-                fibres[z] = _pruned({z: out}, modulus).get(z, {})
-    coords = (zip(*[iter(_slots(fibres, top // 8, cwidth, bias))] * len(shifts)) if top
+        wide = [(z, _runs(f, width)) for z, f in fibres.items()
+                if max(map(abs, f.values())) >= half]
+        runs = [run for _, rs in wide for run in rs]
+        # one bias for all: XOR leaves every slot past a run's last at zero
+        full = _bias(max(hi - lo for lo, hi, _ in runs) + 1, width)
+        slots = _slots([(v + full) ^ full for _, _, v in runs],
+                       [width * (hi - lo + 1) for lo, hi, _ in runs], width)
+        end = 0
+        for z, rs in wide:
+            f = {}
+            for lo, hi, _ in rs:
+                cs, end = slots[end:end + hi - lo + 1], end + hi - lo + 1
+                f.update(itertools.compress(zip(range(lo, hi + 1), cs), cs))
+            fibres[z] = _pruned({z: f}, modulus).get(z, {}) if modulus else f
+    codes = map(operator.xor, fibres, itertools.repeat(bias))
+    coords = (zip(*[iter(_slots(codes, itertools.repeat(top // 8), cwidth))] * len(shifts)) if top
               else [()] * len(fibres))
     out = dict(zip(coords, fibres.values()))
     return out if all(fibres.values()) else {x: f for x, f in out.items() if f}
@@ -331,12 +328,11 @@ def fibre_mat_mul(a_rows, b_rows):
     return out
 
 
-def format_sum(pairs, latex=False):
-    """Render (HeisElement, nonzero coeff) pairs, in the given order, as a
-    signed sum such as '-2 u a1 + 3 - b1^-1'; '0' when there are none."""
+def format_sum(pairs):
+    """Render (word, nonzero coeff) pairs, in the given order, as a signed
+    sum such as '-2 u a1 + 3 - b1^-1'; '0' when there are none."""
     parts = []
-    for elem, coeff in pairs:
-        word = elem.word_str(latex)
+    for word, coeff in pairs:
         size = abs(coeff)
         body = str(size) if word == "1" else word if size == 1 else f"{size} {word}"
         parts.append(("- " if coeff < 0 else "+ ") + body)
@@ -347,8 +343,13 @@ def format_sum(pairs, latex=False):
     return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
+def _sorted_terms(fibres):
+    """(k, coords, c) of every term, lexicographic on (k, coords)."""
+    return sorted([(k, x, c) for x, f in fibres.items() for k, c in f.items()]) if fibres else []
+
+
 def poly_latex(p):
-    return format_sum(p.sorted_terms(), latex=True)
+    return p.render(latex=True)
 
 
 class HeisPolynomial:
@@ -359,10 +360,13 @@ class HeisPolynomial:
     __slots__ = ("genus", "fibres")
 
     def __init__(self, genus, terms=None):
-        pairs = terms.items() if isinstance(terms, dict) else list(terms or ())
-        if any(elem.genus != genus for elem, _ in pairs):
-            raise ValueError("genus mismatch")
-        self.genus, self.fibres = genus, _collect(((e.coords, e.k), c) for e, c in pairs)
+        fibres = {}
+        for elem, c in terms.items() if isinstance(terms, dict) else terms or ():
+            if elem.genus != genus:
+                raise ValueError("genus mismatch")
+            f = fibres.setdefault(elem.coords, {})
+            f[elem.k] = f.get(elem.k, 0) + c
+        self.genus, self.fibres = genus, _pruned(fibres)
 
     @property
     def terms(self):
@@ -429,21 +433,22 @@ class HeisPolynomial:
     def is_zero(self):
         return not self.fibres
 
-    def sorted_terms(self):
-        """Terms in the canonical order: lexicographic on (k, coords)."""
+    def render(self, latex=False):
+        """The terms as a sum in word form, in the order of _sorted_terms: each
+        term adds its u-power to its fibre's letters, built once per fibre."""
         if not self.fibres:  # most entries of a large twist matrix
-            return []
-        return [(HeisElement(self.genus, k, x), c) for k, x, c in
-                sorted((k, x, c) for x, f in self.fibres.items() for k, c in f.items())]
+            return "0"
+        words = {x: (heis.quadratic(x), heis.letters(x, latex)) for x in self.fibres}
+        return format_sum((heis.word(k - words[x][0], words[x][1], latex), c)
+                          for k, x, c in _sorted_terms(self.fibres))
 
-    def __str__(self):
-        return format_sum(self.sorted_terms())
+    __str__ = render
 
     def __repr__(self):
         return f"HeisPolynomial({self})"
 
     def to_json(self):
-        return [{"k": e.k, "coords": list(e.coords), "c": c} for e, c in self.sorted_terms()]
+        return [{"k": k, "coords": list(x), "c": c} for k, x, c in _sorted_terms(self.fibres)]
 
 
 # ---------------------------------------------------------------------------
@@ -676,9 +681,15 @@ class SpecializedPolynomial(heis.Record):
     def is_zero(self):
         return not self.fibres
 
-    def __str__(self):
+    def render(self, latex=False):
+        """The sum of the lifts of the terms in word form, in the order of terms."""
         lift = self.quotient.lift
-        return format_sum((lift(self.genus, key), c) for key, c in self.terms)
+        return format_sum((lift(self.genus, key).word_str(latex), c) for key, c in self.terms)
+
+    __str__ = render
+
+    def to_json(self):
+        return self.terms
 
 
 def specialize(p, q):

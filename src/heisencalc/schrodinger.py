@@ -118,7 +118,7 @@ def finite_lift(phi, N):
     # the image S e_j of a basis vector is column j of S; the quadratic form
     # vanishes on e_j, so the defect is that of S e_j alone
     delta = tuple(N * (heis.quadratic(col) % 2) for col in zip(*phi.S))
-    return HeisAutomorphism(phi.genus, delta, phi.S)
+    return HeisAutomorphism._of(phi.genus, delta, phi.S)
 
 
 def _compose(x, y):

@@ -66,6 +66,26 @@ def test_rejects_non_symplectic():
         HeisAutomorphism(1, (0, 0), ((1, 0), (0, 2)))
 
 
+def test_derived_automorphisms_unchecked_inputs_checked():
+    """compose, inverse, identity_aut and inner_of build their results with
+    no symplectic check, and each is symplectic by construction; the
+    constructor, from_json and morita_crossed_hom still refuse a
+    non-symplectic S."""
+    rng = random.Random(7)
+    for g in (1, 2, 3):
+        f, h = random_aut(rng, g), random_aut(rng, g)
+        for derived in (f.compose(h), f.inverse(), aut.identity_aut(g),
+                        aut.inner_of(random_element(rng, g))):
+            assert aut.is_symplectic(derived.S, g)
+            assert HeisAutomorphism(g, derived.delta, derived.S) == derived
+    with pytest.raises(ValueError, match="not symplectic"):
+        HeisAutomorphism(1, (0, 0), ((1, 1), (0, 2)))
+    with pytest.raises(ValueError, match="not symplectic"):
+        HeisAutomorphism.from_json({"delta": [0, 0], "S": [[1, 1], [0, 2]]})
+    with pytest.raises(ValueError, match="not symplectic"):
+        aut.morita_crossed_hom(1, {"a1": heis.parse_word("a1^2"), "b1": heis.parse_word("b1")})
+
+
 def reference_J(genus):
     J = [[0] * (2 * genus) for _ in range(2 * genus)]
     for i in range(genus):

@@ -74,6 +74,23 @@ def test_matrix_latex(capsys):
     assert out.startswith("\\begin{pmatrix}")
 
 
+def test_specialized_latex(capsys):
+    """--latex renders a specialized result in LaTeX: the lifts as words and
+    a matrix as a pmatrix, as for unspecialized results."""
+    assert run(capsys, "mul", "--specialize", "torsion3", "--latex", "a", "b") == (0, "a b\n")
+    assert run(capsys, "specialize", "--genus", "2", "--specialize", "torsion5", "--latex",
+               "u^7 a1^-2 b2 - 2 u a2") == (0, "-2 u a_{2} + u^{2} a_{1}^{-2} b_{2}\n")
+    assert run(capsys, "matrix", "boundary", "--specialize", "moriyama", "--latex") == (
+        0, "\\begin{pmatrix}\n1 & 0 & 0 \\\\\n0 & 1 & 0 \\\\\n0 & 0 & 1\n\\end{pmatrix}\n")
+    code, out = run(capsys, "compose", "ta", "tb", "--specialize", "abelian", "--latex")
+    rows = repmatrix.specialize_matrix(repmatrix.compose_twisted(repmatrix.matrix_Ta(),
+                                                                 repmatrix.matrix_Tb()), "abelian")
+    assert code == 0 and out == repmatrix.matrix_latex(rows) + "\n"
+    assert "a^{-1}" in out and "a1" not in out
+    # plain and JSON output of a specialized result are not LaTeX
+    assert run(capsys, "mul", "--specialize", "torsion3", "--plain", "a", "b") == (0, "a1 b1\n")
+
+
 @pytest.mark.parametrize("fmt", [[], ["--json"], ["--plain"], ["--latex"],
                                  ["--specialize", "moriyama"]])
 @pytest.mark.parametrize("name", list(cli.BUILTIN_MATRICES))

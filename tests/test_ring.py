@@ -514,7 +514,10 @@ def test_mat_mul_tags_past_one_byte():
         assert rm.mat_mul(A, B) == dense_mat_mul(A, B)
 
 
-@pytest.mark.parametrize("scale", [1, 2 ** 3, 2 ** 12, 2 ** 28, 2 ** 60, 2 ** 100])
+SLOT_SCALES = [1, 2 ** 3, 2 ** 12, 2 ** 28, 2 ** 60, 2 ** 100]
+
+
+@pytest.mark.parametrize("scale", SLOT_SCALES)
 def test_every_slot_width(scale):
     """Products whose coefficient bound needs 1, 2, 4, 8 and more than 8
     bytes a slot, with signs that borrow across slots."""
@@ -525,6 +528,34 @@ def test_every_slot_width(scale):
     assert ring._slot_width(2 ** 7 - 1) == 1 and ring._slot_width(2 ** 7) == 2
     assert ring._slot_width(2 ** 15) == 4 and ring._slot_width(2 ** 63 - 1) == 8
     assert ring._slot_width(2 ** 63) == 9 and ring._slot_width(2 ** 80) == 11
+
+
+@pytest.mark.parametrize("modulus", [0, 40, 64])
+def test_split_runs_under_modulus(modulus):
+    """A packed product whose output fibres hold several runs more than _GAP
+    slots apart; at modulus 40 the last run of the constant fibre wraps past
+    the modulus onto the first."""
+    p = parse_poly(1, "1 + 2 u + u^2 - u^3 + 3 u^20 - u^21 + u^22 + u^23"
+                      " + a - u a + 2 u^2 a + u^3 a")
+    q = parse_poly(1, "1 - u + u^2 + 2 u^3 + u^17 + u^18 - u^19 + u^20"
+                      " + u^30 b - u^31 b + u^32 b + 3 u^33 b")
+    for x, y in ((p, q), (q, p), (p, p)):
+        out = ring._fibre_mul(x.fibres, y.fibres, modulus)
+        assert out == loop_fibre_mul(x.fibres, y.fibres, modulus)
+        ks = sorted(out[(0, 0)])
+        assert max(b - a for a, b in zip(ks, ks[1:])) > ring._GAP
+
+
+def test_slot_by_slot_fallback(monkeypatch):
+    """With no slot format, as on a big-endian host, every slot is written
+    and read one by one: the key, matrix, slot width and run checks again."""
+    monkeypatch.setattr(ring, "_FORMATS", {})
+    test_key_slots_match_loop_reference()
+    test_mat_mul_key_slots_match_dense()
+    for scale in SLOT_SCALES:
+        test_every_slot_width(scale)
+    for modulus in (0, 40, 64):
+        test_split_runs_under_modulus(modulus)
 
 
 def test_sparse_exponents_cost_terms():
