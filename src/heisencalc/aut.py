@@ -43,9 +43,7 @@ class HeisAutomorphism(heis.Record):
 
     @classmethod
     def _of(cls, genus, delta, S):  # S is symplectic by construction: not checked
-        out = cls.__new__(cls)
-        out._init(genus, delta, S)
-        return out
+        return cls.__new__(cls)._init(genus, delta, S)
 
     def apply(self, x):
         if x.genus != self.genus:

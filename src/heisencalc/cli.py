@@ -112,7 +112,7 @@ def cmd_compose(args):
         print(json.dumps(M.to_json() if not args.specialize else {
             "rows": M.rows, "cols": M.cols, "entries": [[str(p) for p in row] for row in rows]}))
     else:
-        print("\n".join("[" + ", ".join(map(str, row)) + "]" for row in rows))
+        print(repmatrix.matrix_str(rows) if args.specialize else M)
 
 
 def cmd_pairing(args):

@@ -70,6 +70,7 @@ class Record:
     def _init(self, *values):
         for name, value in zip(self.__slots__, values, strict=True):
             _set(self, name, value)
+        return self
 
     def __init_subclass__(cls):
         cls._fields = cls.__dict__.get("_fields", cls.__slots__)

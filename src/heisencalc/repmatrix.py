@@ -59,8 +59,7 @@ class RepMatrix(heis.Record):
         }
 
     def __str__(self):
-        return "\n".join("[" + ", ".join(str(p) for p in row) + "]"
-                         for row in self.entries)
+        return matrix_str(self.entries)
 
 
 def matrix_from_strings(genus, rows):
@@ -323,8 +322,12 @@ def scalar_mul(M, h):
 
 
 # ---------------------------------------------------------------------------
-# LaTeX export.
+# Text and LaTeX export.
 # ---------------------------------------------------------------------------
+
+def matrix_str(rows):  # of a RepMatrix, or of a specialized one
+    return "\n".join("[" + ", ".join(map(str, row)) + "]" for row in rows)
+
 
 def matrix_latex(M):  # a RepMatrix, or the rows of a specialized one
     rows = [" & ".join(poly_latex(p) for p in row) for row in getattr(M, "entries", M)]

@@ -227,13 +227,12 @@ def _unpack(acc, layout, width, modulus=0):
                 if v:
                     f[k] = v
     half = 1 << (8 * width - 1) if width else 0
-    if width and max(map(abs, acc.values()), default=0) >= half:
-        wide = [(z, _runs(f, width)) for z, f in fibres.items()
-                if max(map(abs, f.values())) >= half]
+    wide = [(z, _runs(f, width)) for z, f in fibres.items()
+            if max(map(abs, f.values()), default=0) >= half] if width else []
+    if wide:
         runs = [run for _, rs in wide for run in rs]
-        # one bias for all: XOR leaves every slot past a run's last at zero
-        full = _bias(max(hi - lo for lo, hi, _ in runs) + 1, width)
-        slots = _slots([(v + full) ^ full for _, _, v in runs],
+        biases = {n: _bias(n, width) for n in {hi - lo + 1 for lo, hi, _ in runs}}  # by length
+        slots = _slots([(v + biases[hi - lo + 1]) ^ biases[hi - lo + 1] for lo, hi, v in runs],
                        [width * (hi - lo + 1) for lo, hi, _ in runs], width)
         end = 0
         for z, rs in wide:
@@ -345,7 +344,7 @@ def format_sum(pairs):
 
 def _sorted_terms(fibres):
     """(k, coords, c) of every term, lexicographic on (k, coords)."""
-    return sorted([(k, x, c) for x, f in fibres.items() for k, c in f.items()]) if fibres else []
+    return sorted([(k, x, c) for x, f in fibres.items() for k, c in f.items()])
 
 
 def poly_latex(p):

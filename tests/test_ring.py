@@ -310,12 +310,36 @@ def test_fibre_storage_invariants(case, rng, n):
     assert hash(a) == hash(b) == hash(p + q) == hash(q + p)
 
 
+# Genus-1 operands for each path of _fibre_mul, with omega(x, y) = +-1 or +-2 between
+# fibres, so nonzero mod 3, 5 and 7: a single-term left operand (_translated),
+# fibres of single terms, and fibres of 4 and 5 consecutive terms (packed runs).
+# In the last row, mod 5 the two packed sums of fibre (1, 1) of the first product
+# cancel, so that fibre is empty before its runs are decoded.
+OMEGA_OPERANDS = [("a", "b", "b + 2 a b"),
+                  ("a + 2 u b", "b - a b", "u^2 a + a b^2"),
+                  ("(1 + u + u^2 + u^3 + u^4) a + b", "(1 - 2 u + 3 u^2 - u^3) b + a b",
+                   "u a + (2 - u^2) b"),
+                  ("a - u^2 b", "(1 + u + u^2 + u^3) a + (1 + u + u^2 + u^3) b", "b - u^2 a")]
+
+
+def omega_examples(to_args):
+    """hypothesis examples at moduli 3, 5 and 7 of every OMEGA_OPERANDS row:
+    to_args(N, polys) gives the test's arguments."""
+    def decorate(test):
+        for N in (3, 5, 7):
+            for texts in OMEGA_OPERANDS:
+                test = example(*to_args(N, tuple(parse_poly(1, t) for t in texts)))(test)
+        return test
+    return decorate
+
+
 quotients = (st.sampled_from([("moriyama", 0), ("abelian", 0)])
              | st.tuples(st.just("torsion"), st.integers(1, 7)))
 
 
 @given(genus_and_polys, quotients)
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@omega_examples(lambda N, polys: ((1, polys), ("torsion", N)))
 def test_specialized_kernel_matches_per_pair_reference(case, quot):
     """SpecializedPolynomial's fibre kernel against one key product per pair
     of terms, on both data shapes, at genus 1-3, in every quotient."""
@@ -365,26 +389,6 @@ def test_specialized_ops_with_other_types_are_type_errors():
             s * other
     with pytest.raises(ValueError, match="target mismatch"):
         s * ring.specialize(parse_poly(1, "a + u"), ring.torsion(1))
-
-
-# Genus-1 operands for each path of _fibre_mul, with omega(x, y) = +-1 or +-2 between
-# fibres, so nonzero mod 3, 5 and 7: a single-term left operand (_translated),
-# fibres of single terms, and fibres of 4 and 5 consecutive terms (packed runs).
-OMEGA_OPERANDS = [("a", "b", "b + 2 a b"),
-                  ("a + 2 u b", "b - a b", "u^2 a + a b^2"),
-                  ("(1 + u + u^2 + u^3 + u^4) a + b", "(1 - 2 u + 3 u^2 - u^3) b + a b",
-                   "u a + (2 - u^2) b")]
-
-
-def omega_examples(to_args):
-    """hypothesis examples at moduli 3, 5 and 7 of every OMEGA_OPERANDS row:
-    to_args(N, polys) gives the test's arguments."""
-    def decorate(test):
-        for N in (3, 5, 7):
-            for texts in OMEGA_OPERANDS:
-                test = example(*to_args(N, tuple(parse_poly(1, t) for t in texts)))(test)
-        return test
-    return decorate
 
 
 @given(genus_and_polys, quotients)
