@@ -71,16 +71,16 @@ def cmd_aut(args):
         phi = aut.inner_of(heis.parse_element(args.genus, args.inner))
     else:
         phi = aut.HeisAutomorphism.from_json(json.loads(args.witness))
-        h = aut.inner_witness(phi)
-        if h is None:
-            print("not inner", file=sys.stderr)
-            return 1
-        print(h.word_str() if args.fmt != "json"
-              else json.dumps({"word": h.word_str(), "pair": h.pair_str()}))
+    phi = phi.inverse() if args.inverse else phi
+    if args.witness is None:
+        print(json.dumps(phi.to_json()))
         return 0
-    if args.inverse:
-        phi = phi.inverse()
-    print(json.dumps(phi.to_json()))
+    h = aut.inner_witness(phi)
+    if h is None:
+        print("not inner", file=sys.stderr)
+        return 1
+    print(h.word_str() if args.fmt != "json"
+          else json.dumps({"word": h.word_str(), "pair": h.pair_str()}))
     return 0
 
 

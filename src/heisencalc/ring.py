@@ -49,18 +49,24 @@ def _pruned(fibres, modulus=0):
     return out
 
 
-def _add_fibres(left, right):
-    """Fibres of a sum.  Stored fibres are never written: a fibre that both
-    operands have is rebuilt, any other is shared."""
-    out = dict(left)
-    for x, fy in right.items():
-        if x in out:
-            fx = dict(out.pop(x))
-            for k, c in fy.items():
-                fx[k] = fx.get(k, 0) + c
-            fy = {k: c for k, c in fx.items() if c}
-        if fy:
-            out[x] = fy
+def _sum_fibres(summands):
+    """Fibres of the sum of the fibres in summands.  Stored fibres are never
+    written: a fibre that one summand alone has is shared, any other is
+    summed into a new one."""
+    summands = iter(summands)
+    out, summed = dict(next(summands, {})), {}
+    for fibres in summands:
+        for x, f in fibres.items():
+            if x not in out:
+                out[x] = f
+                continue
+            g = summed.get(x) or summed.setdefault(x, dict(out[x]))
+            for k, c in f.items():
+                g[k] = g.get(k, 0) + c
+    for x, g in summed.items():
+        g = out[x] = {k: c for k, c in g.items() if c}
+        if not g:
+            del out[x]
     return out
 
 
@@ -398,7 +404,7 @@ class HeisPolynomial:
 
     def __add__(self, other):
         self._check(other)
-        return self._of(self.genus, _add_fibres(self.fibres, other.fibres))
+        return self._of(self.genus, _sum_fibres([self.fibres, other.fibres]))
 
     def __neg__(self):
         return self._of(self.genus, {x: {k: -c for k, c in f.items()}
@@ -452,9 +458,10 @@ class HeisPolynomial:
 
 # ---------------------------------------------------------------------------
 # Expression parsing.  Grammar (whitespace-insensitive):
-#   expr    := ['-'] product (('+'|'-') product)*
+#   expr    := ['+'|'-'] product (('+'|'-') product)*    (summed once)
 #   product := factor+                      (juxtaposition is multiplication)
-#   factor  := integer | symbol ['^' int] | '(' expr ')' ['^' int]
+#   factor  := term | '(' expr ')' ['^' int]
+#   term    := (integer | symbol ['^' int])+   (a longest run: c h, h = heis.from_word(letters))
 #   symbol  := 'u' | 'a' | 'b' | 'a<i>' | 'b<i>'   (heis.NAME, ASCII digits)
 # ---------------------------------------------------------------------------
 
@@ -474,96 +481,74 @@ def bounded_product(left, right, what="product"):
     return left * right
 
 
-_EXPR_TOKEN = re.compile(
-    rf"\s*(?:({heis.DIGITS})|({heis.NAME.pattern})|\^({heis.INTEGER})|([+\-()]))")
+_EXPR_TOKEN = re.compile(rf"\s*(?:(?P<int>{heis.DIGITS})|(?P<sym>{heis.NAME.pattern})"
+                         rf"|\^(?P<pow>{heis.INTEGER})|([+\-()]))")
 
 
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _EXPR_TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ValueError(f"bad expression near {text[pos:]!r}")
+def _tokens(text):
+    """The tokens of text, the next one last, over an end (None, None) that no
+    rule accepts: ('int', n), ('sym', name), ('pow', n) or (c, None), c in '+-()'."""
+    tokens, pos = [], 0
+    for m in _EXPR_TOKEN.finditer(text):
+        if m.start() != pos:
             break
-        if m.group(1):
-            tokens.append(("int", int(m.group(1))))
-        elif m.group(2):
-            tokens.append(("sym", m.group(2)))
-        elif m.group(3):
-            tokens.append(("pow", int(m.group(3))))
-        else:
-            tokens.append((m.group(4), None))
+        kind = m.lastgroup  # None for one of '+-()'
+        tokens.append((kind, m[kind] if kind == "sym" else int(m[kind])) if kind else (m[4], None))
         pos = m.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, genus, tokens):
-        self.genus = genus
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
-
-    def next(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def parse_expr(self):
-        sign = 1
-        if self.peek()[0] == "-":
-            self.next()
-            sign = -1
-        elif self.peek()[0] == "+":
-            self.next()
-        result = self.parse_product() * sign
-        while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            term = self.parse_product()
-            result = result + (term if op == "+" else -term)
-        return result
-
-    def parse_product(self):
-        result = self.parse_factor()
-        while self.peek()[0] in ("int", "sym", "("):
-            result = bounded_product(result, self.parse_factor())
-        return result
-
-    def parse_factor(self):
-        kind, value = self.next()
-        if kind == "int":
-            return HeisPolynomial.monomial(heis.identity(self.genus), value)
-        if kind == "sym":
-            power = 1
-            if self.peek()[0] == "pow":
-                power = self.next()[1]
-            return HeisPolynomial.monomial(heis.generator(self.genus, value, power))
-        if kind == "(":
-            inner = self.parse_expr()
-            if self.next()[0] != ")":
-                raise ValueError("unbalanced parentheses")
-            if self.peek()[0] == "pow":
-                power = self.next()[1]
-                if not 0 <= power <= MAX_POWER:
-                    raise ValueError(f"(expr)^n needs 0 <= n <= {MAX_POWER}; "
-                                     "negative powers only on group generators")
-                result = HeisPolynomial.one(self.genus)
-                for _ in range(power):
-                    result = bounded_product(result, inner, f"(expr)^{power}")
-                return result
-            return inner
-        raise ValueError(f"unexpected token {kind!r}")
+    if text[pos:].strip():
+        raise ValueError(f"bad expression near {text[pos:]!r}")
+    return [(None, None)] + tokens[::-1]
 
 
 def parse_poly(genus, text):
     """Parse a polynomial expression such as '(u^-1 - 1) a^-1 b + u^2'."""
-    parser = _Parser(genus, _tokenize(text))
-    result = parser.parse_expr()
-    if parser.pos != len(parser.tokens):
+    tokens = _tokens(text)
+
+    def expr():
+        if tokens[-1][0] not in ("+", "-"):
+            tokens.append(("+", None))  # the first product may be unsigned
+        summands = []
+        while tokens[-1][0] in ("+", "-"):
+            summands.append((product() if tokens.pop()[0] == "+" else -product()).fibres)
+        return HeisPolynomial._of(genus, _sum_fibres(summands))
+
+    def product():
+        result = factor()
+        while tokens[-1][0] in ("int", "sym", "("):
+            result = bounded_product(result, factor())
+        return result
+
+    def factor():
+        if tokens[-1][0] in ("int", "sym"):
+            c, word = 1, []
+            while tokens[-1][0] in ("int", "sym"):
+                kind, value = tokens.pop()
+                if kind == "int":
+                    c *= value
+                else:
+                    word.append((value, tokens.pop()[1] if tokens[-1][0] == "pow" else 1))
+            h = heis.from_word(genus, word)
+            return HeisPolynomial._of(genus, {h.coords: {h.k: c}} if c else {})
+        kind = tokens.pop()[0]
+        if kind != "(":
+            raise ValueError(f"unexpected token {kind!r}" if kind
+                             else "expression ends where a term is expected")
+        inner = expr()
+        if tokens.pop()[0] != ")":
+            raise ValueError("unbalanced parentheses")
+        if tokens[-1][0] != "pow":
+            return inner
+        power = tokens.pop()[1]
+        if not 0 <= power <= MAX_POWER:
+            raise ValueError(f"(expr)^n needs 0 <= n <= {MAX_POWER}; "
+                             "negative powers only on group generators")
+        result = HeisPolynomial.one(genus)
+        for _ in range(power):
+            result = bounded_product(result, inner, f"(expr)^{power}")
+        return result
+
+    result = expr()
+    if len(tokens) > 1:
         raise ValueError("trailing tokens in expression")
     return result
 
@@ -667,7 +652,7 @@ class SpecializedPolynomial(heis.Record):
 
     def __add__(self, other):
         return SpecializedPolynomial(self._target(other), self.genus,
-                                     _add_fibres(self.fibres, other.fibres))
+                                     _sum_fibres([self.fibres, other.fibres]))
 
     def __mul__(self, other):
         q = self._target(other)

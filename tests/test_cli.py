@@ -388,6 +388,17 @@ def test_aut_witness(capsys):
     assert out.strip() == "b1^-1"
 
 
+def test_aut_witness_of_the_inverse(capsys):
+    # --inverse applies before the witness is taken, as in --twist and --inner
+    code, J = run(capsys, "aut", "--inner", "a1 b1^2")
+    assert code == 0
+    code, out = run(capsys, "aut", "--witness", J, "--inverse")
+    assert code == 0
+    assert json.loads(out) == {"word": "u^-2 a1^-1 b1^-2", "pair": "(0; -1,-2)"}
+    code, out = run(capsys, "aut", "--witness", J)
+    assert json.loads(out)["pair"] == "(0; 1,2)"
+
+
 def test_domain_error_exit_code(capsys):
     code, _ = run(capsys, "matrix", "separating", "--genus", "1")
     assert code == 1

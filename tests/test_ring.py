@@ -61,6 +61,10 @@ def test_parse_rejects():
         parse_poly(1, "(1 + a)^-1")
     with pytest.raises(ValueError):
         parse_poly(1, "x + 1")
+    # an expression that ends early names the end of input
+    for text in ("", "-", "a +", "3 -", "("):
+        with pytest.raises(ValueError, match="^expression ends where a term is expected$"):
+            parse_poly(1, text)
 
 
 def test_power_step_bound(monkeypatch):
@@ -121,6 +125,39 @@ def test_one_and_zero(p):
 @settings(derandomize=True, database=None)
 def test_str_parse_round_trip(p):
     assert parse_poly(1, str(p)) == p
+
+
+def test_str_parse_round_trip_of_large_sums():
+    # every entry of D^8, and a genus-2 product of 16,843 terms over many fibres
+    D = rm.matrix_boundary_twist()
+    power = D
+    for _ in range(7):
+        power = rm.compose_twisted(power, D)
+    for row in power.entries:
+        for p in row:
+            assert parse_poly(1, str(p)) == p
+    p = (parse_poly(2, "(1 + a1 - b1 + a2 - b2 + u a1 b2)^4")
+         * parse_poly(2, "(1 - a1^-1 + b1^-1 + a2^-1 - u b2^-1 + a1 b1)^4"))
+    assert sum(map(len, p.fibres.values())) == 16843
+    assert parse_poly(2, str(p)) == p
+
+
+def test_parse_time_grows_with_the_sum():
+    """A sum is read in one pass: 4 times the terms take well under 6 times
+    as long (the least of 3 runs each)."""
+    rng = random.Random(0)
+    texts = [" + ".join(f"{rng.randint(1, 9)} u^{rng.randint(-3, 3)} a^{rng.randint(-40, 40)} "
+                        f"b^{rng.randint(-40, 40)}" for _ in range(n)) for n in (2000, 8000)]
+
+    def least_time(text):
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            parse_poly(1, text)
+            times.append(time.perf_counter() - t0)
+        return min(times)
+    short, long = map(least_time, texts)
+    assert long < 6 * short
 
 
 @given(small_poly)
