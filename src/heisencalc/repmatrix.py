@@ -12,7 +12,8 @@ stored on Mat(g)).
 
 The module ships the explicit twist matrices for the genus-1 two-point
 module (basis w(a), w(b), v(a,b)), the boundary twist computed as a 4-fold
-shifted product, and the higher genus separating twist in block form.
+shifted product, each built once per process, and the higher genus
+separating twist in block form.
 """
 
 import functools
@@ -96,7 +97,10 @@ def mat_mul(A, B):
 
 
 def shift_matrix(M, tau):
-    """Precompose the source action with tau: applies tau^-1 entrywise."""
+    """Precompose the source action with tau: applies tau^-1 entrywise; the
+    identity leaves M as it is."""
+    if tau.is_identity():
+        return M
     inv = tau.inverse()
     entries = tuple(tuple(p if p.is_zero() else ring.aut_apply_poly(inv, p) for p in row)
                     for row in M.entries)
@@ -217,20 +221,24 @@ def _standard_twist(kind):
     return RepMatrix(1, fixture_matrix("m_" + kind).entries, aut.twist_aut(1, kind).inverse())
 
 
+@functools.cache
 def matrix_Ta():
     return _standard_twist("a")
 
 
+@functools.cache
 def matrix_Tb():
     return _standard_twist("b")
 
 
+@functools.cache
 def matrix_TaTbTa():
     """The braid-relation composite Ta Tb Ta, folded once."""
     Ma = matrix_Ta()
     return functools.reduce(compose_twisted, (Ma, matrix_Tb(), Ma))
 
 
+@functools.cache
 def matrix_boundary_twist():
     """Boundary twist: four copies of the aba matrix shifted along powers
     of the induced order-4 automorphism, multiplied together."""

@@ -13,7 +13,8 @@ in matrix products (fibre_mat_mul), with each term (k, x) an integer key:
   slots below top, so (k, x)(l, y) has the key key(x, k) + key(y, l) +
   omega(x, y) 2^top, and a pair of runs costs one product and one sum.
   omega against every run of the operand of more fibres is computed once
-  per fibre of the other, from columns of that operand's dual coordinates;
+  per fibre of the other, from columns of that operand's dual coordinates,
+  each packed into one integer from _PACKED_OMEGA runs on;
 - output: products are summed while packed under their keys, grouped by
   coordinates and summed into runs; the runs of every output fibre, then
   the coordinates of all of them, are each decoded in one pass.
@@ -35,15 +36,22 @@ from .heis import HeisElement
 
 
 def _pruned(fibres, modulus=0):
-    """New fibres with each k reduced mod a nonzero modulus, and no zeros."""
+    """Fibres with each k reduced mod a nonzero modulus and no zeros, in a
+    new dict; a single-term fibre is placed at once, and a fibre is filtered
+    only when it holds a zero (else, with no modulus, it is the input's own)."""
     out = {}
     for x, f in fibres.items():
         if modulus:
-            reduced = {}
-            for k, c in f.items():
-                reduced[k % modulus] = reduced.get(k % modulus, 0) + c
-            f = reduced
-        f = {k: c for k, c in f.items() if c}
+            if len(f) == 1:
+                (k, c), = f.items()
+                f = {k % modulus: c}
+            else:
+                reduced = {}
+                for k, c in f.items():
+                    reduced[k % modulus] = reduced.get(k % modulus, 0) + c
+                f = reduced
+        if 0 in f.values():
+            f = {k: c for k, c in f.items() if c}
         if f:
             out[x] = f
     return out
@@ -143,21 +151,32 @@ def _key_layout(n, coords, tags=0):
     return width, range(0, 8 * width * n, 8 * width), _bias(n, width), 8 * width * n
 
 
+# A flattened operand of at least this many runs takes omega from packed
+# columns (see _mul_into); below it, summing the columns term by term is faster.
+_PACKED_OMEGA = 24
+
+
 def _mul_into(acc, left, right, layout, modulus=0):
     """Add the product of packed left and right to acc {key: packed sum}:
     (k, x)(l, y) = (k + l + omega(x, y), x + y) has the key
     key(x, k) + key(y, l) + omega(x, y) 2^top, tags included, omega reduced
     mod a nonzero modulus and left out mod 1.  The operand of more
     fibres is flattened into columns, one entry per run: keys, coefficients
-    and the n coordinates of dual(y) 2^top, with omega(x, y) the dot product
-    of x[::2] + x[1::2] and dual(y) (negated for a flat left).  Per fibre x
-    of the other operand, omega against every run is one sum of the columns
-    scaled by the nonzero x_j, and each pair of runs costs one product."""
+    and the n coordinates of dual(y), with omega(x, y) the dot product of
+    x[::2] + x[1::2] and dual(y) (negated for a flat left).  Per fibre x of
+    the other operand, omega against every run is one sum of the columns
+    scaled by the nonzero x_j, and each pair of runs costs one product.
+    From _PACKED_OMEGA runs on, each column is one packed run (see _pack_run)
+    in slots that hold any omega, and the sum is read back by one _slots
+    call; below that, the columns hold dual(y) 2^top and are summed term by
+    term."""
     _, shifts, bias, top = layout
     add, mul, lshift, repeat = operator.add, operator.mul, operator.lshift, itertools.repeat
-    scale = 1 << top if modulus != 1 else 0
+    sign = 1
     if len(left) > len(right):
-        left, right, scale = right, left, -scale
+        left, right, sign = right, left, -1
+    packed = modulus != 1 and sum(len(runs) for _, runs, _ in right) >= _PACKED_OMEGA
+    scale = 0 if modulus == 1 else sign if packed else sign << top
     keys, coeffs, duals = [], [], []
     for y, runs, tag in right:
         key = sum(map(lshift, y, shifts)) + tag
@@ -167,16 +186,32 @@ def _mul_into(acc, left, right, layout, modulus=0):
             coeffs.append(c)
             duals.append(dual)
     duals = list(zip(*duals)) if scale else []
+    if packed and duals:
+        cmax = max(map(abs, itertools.chain.from_iterable(
+            x for x, _, _ in itertools.chain(left, right))))
+        width = _slot_width(len(duals) * cmax * cmax)
+        duals = [_pack_run(enumerate(column), 0, len(keys), width) for column in duals]
+        wbias, size = _bias(len(keys), width), len(keys) * width
     get = acc.get
     for x, runs, tag in left:
-        omegas = None
-        for xj, dual in zip(x[::2] + x[1::2], duals):
-            if xj:
-                scaled = map(mul, dual, repeat(xj))
-                omegas = scaled if omegas is None else map(add, omegas, scaled)
-        if omegas is not None and modulus:
-            omegas = map(operator.mod, omegas, repeat(modulus << top))
-        xkeys = keys if omegas is None else list(map(add, keys, omegas))
+        xs = x[::2] + x[1::2]
+        if not (duals and any(xs)):
+            xkeys = keys
+        elif packed:
+            omegas = sum(dual * xj for xj, dual in zip(xs, duals) if xj)
+            omegas = _slots([(omegas + wbias) ^ wbias], [size], width)
+            if modulus:
+                omegas = map(operator.mod, omegas, repeat(modulus))
+            xkeys = list(map(add, keys, map(lshift, omegas, repeat(top))))
+        else:
+            omegas = None
+            for xj, dual in zip(xs, duals):
+                if xj:
+                    scaled = map(mul, dual, repeat(xj))
+                    omegas = scaled if omegas is None else map(add, omegas, scaled)
+            if modulus:
+                omegas = map(operator.mod, omegas, repeat(modulus << top))
+            xkeys = list(map(add, keys, omegas))
         key = sum(map(lshift, x, shifts)) + bias + tag
         for lo, v in runs.items():
             lo = key + (lo << top)
@@ -577,7 +612,7 @@ class Quotient(heis.Record):
 def _place_moriyama(fibres):
     sums = [0, 0]
     for x, f in fibres.items():
-        q = heis.quadratic(x)
+        q = sum(map(operator.mul, x[::2], x[1::2]))  # heis.quadratic(x), inline
         for k, c in f.items():
             sums[(k - q) % 2] += c
     f = {k: c for k, c in enumerate(sums) if c}
@@ -585,8 +620,7 @@ def _place_moriyama(fibres):
 
 
 def _place_abelian(fibres):
-    sums = {x: sum(f.values()) for x, f in fibres.items()}
-    return {x: {0: c} for x, c in sums.items() if c}
+    return {x: {0: c} for x, c in zip(fibres, map(sum, map(dict.values, fibres.values()))) if c}
 
 
 MORIYAMA = Quotient(

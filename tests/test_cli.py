@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from heisencalc import braid, cli, heis, repmatrix, ring
+from tests_helpers import cold_constants  # noqa: F401 (a fixture)
 
 
 def run(capsys, *argv):
@@ -331,6 +332,7 @@ def test_verify_all(capsys):
     assert "braid identity" in out
 
 
+@pytest.mark.usefixtures("cold_constants")
 def test_verify_all_builds_composites_once(capsys, monkeypatch):
     # Ta Tb Ta and Tb Ta Tb (2 each), then the boundary twist as the fourth
     # power of the aba already built (3): 7 twisted compositions
@@ -345,6 +347,22 @@ def test_verify_all_builds_composites_once(capsys, monkeypatch):
     code, out = run(capsys, "verify", "--all")
     assert code == 0 and "FAIL" not in out
     assert len(calls) == 7
+
+
+@pytest.mark.usefixtures("cold_constants")
+def test_compose_builds_each_constant_once(capsys, monkeypatch):
+    # D^8 as eight copies of one boundary twist: Ta Tb Ta (2) and its fourth
+    # power (3) are built once, then the seven compositions of the copies
+    calls = []
+    honest = repmatrix.compose_twisted
+
+    def counted(*args):
+        calls.append(args)
+        return honest(*args)
+
+    monkeypatch.setattr(repmatrix, "compose_twisted", counted)
+    code, out = run(capsys, "compose", *["boundary"] * 8, "--json")
+    assert code == 0 and len(calls) == 12
 
 
 def test_schrodinger_verify_large_N(capsys):

@@ -8,7 +8,8 @@ import pytest
 from heisencalc import aut, heis, repmatrix as rm, ring
 from heisencalc.heis import HeisElement
 from heisencalc.ring import HeisPolynomial, parse_poly
-from tests_helpers import dense_mat_mul, random_monomial_matrix, random_twist_aut
+from tests_helpers import (cold_constants, dense_mat_mul,  # noqa: F401 (a fixture)
+                           random_monomial_matrix, random_twist_aut)
 
 
 def test_basis_enumerate_genus1():
@@ -123,6 +124,7 @@ def test_boundary_twist():
     assert rm.is_specialized_identity(rm.specialize_matrix(Md, "moriyama"))
 
 
+@pytest.mark.usefixtures("cold_constants")
 def test_boundary_twist_folds_aba_once(monkeypatch):
     # Ta Tb Ta (2 twisted compositions), then its fourth power (3)
     calls = []
@@ -137,6 +139,7 @@ def test_boundary_twist_folds_aba_once(monkeypatch):
     assert len(calls) == 5
 
 
+@pytest.mark.usefixtures("cold_constants")
 def test_verify_builtin_matrices_builds_aba_once(monkeypatch):
     # Ta Tb Ta and Tb Ta Tb (2 each), then the boundary twist as the fourth
     # power of the aba already built (3): 7 twisted compositions
@@ -154,6 +157,22 @@ def test_verify_builtin_matrices_builds_aba_once(monkeypatch):
         "boundary twist matches fixture", "boundary twist dies in the u-quotient"]
     assert all(ok for _, ok in checks)
     assert len(calls) == 7
+
+
+def test_identity_shift_is_a_no_op():
+    """shift_matrix by the identity returns its matrix, and a composite after
+    D or a separating twist, whose twists are the identity, is still the
+    product with every entry moved by that identity."""
+    D, sep = rm.matrix_boundary_twist(), rm.matrix_separating_twist(2)
+    for Fg, Ff in ((D, D), (D, rm.matrix_Ta()), (sep, sep)):
+        ident = aut.identity_aut(Fg.genus)
+        assert Fg.source_twist.is_identity() and rm.shift_matrix(Ff, ident) is Ff
+        moved = tuple(tuple(ring.aut_apply_poly(ident, p) for p in row) for row in Ff.entries)
+        M = rm.compose_twisted(Fg, Ff)
+        assert M.entries == dense_mat_mul(Fg, rm.RepMatrix(Ff.genus, moved, ident))
+        assert M.source_twist == Ff.source_twist
+    # a twist that is not the identity still moves the entries
+    assert rm.shift_matrix(sep, aut.twist_aut(2, "a", 1)).entries != sep.entries
 
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5])

@@ -347,6 +347,12 @@ def test_fibre_storage_invariants(case, rng, n):
     assert hash(a) == hash(b) == hash(p + q) == hash(q + p)
 
 
+# _PACKED_OMEGA for each omega path of _mul_into: packed columns at every
+# twisted product, and the default threshold, below which most operands of
+# these tests stay on the term-by-term sum
+OMEGA_THRESHOLDS = (1, ring._PACKED_OMEGA)
+
+
 # Genus-1 operands for each path of _fibre_mul, with omega(x, y) = +-1 or +-2 between
 # fibres, so nonzero mod 3, 5 and 7: a single-term left operand (_translated),
 # fibres of single terms, and fibres of 4 and 5 consecutive terms (packed runs).
@@ -379,28 +385,33 @@ quotients = (st.sampled_from([("moriyama", 0), ("abelian", 0)])
 @omega_examples(lambda N, polys: ((1, polys), ("torsion", N)))
 def test_specialized_kernel_matches_per_pair_reference(case, quot):
     """SpecializedPolynomial's fibre kernel against one key product per pair
-    of terms, on both data shapes, at genus 1-3, in every quotient."""
+    of terms, on both data shapes, at genus 1-3, in every quotient, on both
+    omega paths (see OMEGA_THRESHOLDS)."""
     genus, (p, q, r) = case
     name, N = quot
     Q = ring.quotient(name, N)
     zero = HeisPolynomial.zero(genus)
     one_key = reference_specialize(HeisPolynomial.one(genus), name, N)
-    for x, y in ((p, q), (q, p), (p, r), (p, p), (p, zero), (zero, q), (p, -p), (p, q - q)):
-        sx, sy = ring.specialize(x, Q), ring.specialize(y, Q)
-        rx, ry = reference_specialize(x, name, N), reference_specialize(y, name, N)
-        for s, ref in ((sx, rx), (sx * sy, reference_spec_mul(rx, ry, name, N)),
-                       (sx + sy, reference_spec_add(rx, ry))):
-            # terms is sorted by key, and equal to the reference
-            assert s.terms == tuple(sorted(ref.items()))
-            assert s.is_zero() == (not ref)
-            assert s.is_one() == (ref == one_key)
-            assert all(f and all(f.values()) for f in s.fibres.values())
-        # the same values built another way: equal, with equal hashes
-        for s, t in ((sx * sy, ring.specialize(x * y, Q)), (sx + sy, sy + sx)):
-            assert s == t and hash(s) == hash(t)
-    # full cancellation
-    sp, sq = ring.specialize(p, Q), ring.specialize(q, Q)
-    assert (sp * sq + ring.specialize(-p, Q) * sq).is_zero()
+    pairs = ((p, q), (q, p), (p, r), (p, p), (p, zero), (zero, q), (p, -p), (p, q - q))
+    for threshold in OMEGA_THRESHOLDS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ring, "_PACKED_OMEGA", threshold)
+            for x, y in pairs:
+                sx, sy = ring.specialize(x, Q), ring.specialize(y, Q)
+                rx, ry = reference_specialize(x, name, N), reference_specialize(y, name, N)
+                for s, ref in ((sx, rx), (sx * sy, reference_spec_mul(rx, ry, name, N)),
+                               (sx + sy, reference_spec_add(rx, ry))):
+                    # terms is sorted by key, and equal to the reference
+                    assert s.terms == tuple(sorted(ref.items()))
+                    assert s.is_zero() == (not ref)
+                    assert s.is_one() == (ref == one_key)
+                    assert all(f and all(f.values()) for f in s.fibres.values())
+                # the same values built another way: equal, with equal hashes
+                for s, t in ((sx * sy, ring.specialize(x * y, Q)), (sx + sy, sy + sx)):
+                    assert s == t and hash(s) == hash(t)
+            # full cancellation
+            sp, sq = ring.specialize(p, Q), ring.specialize(q, Q)
+            assert (sp * sq + ring.specialize(-p, Q) * sq).is_zero()
 
 
 @given(genus_and_polys)
@@ -433,12 +444,15 @@ def test_specialized_ops_with_other_types_are_type_errors():
 @omega_examples(lambda N, polys: ((1, polys), ("torsion", N)))
 def test_packed_kernel_matches_loop_reference(case, quot):
     """The packed kernel against the term-pair loop, with the modulus of
-    the full ring and of each quotient."""
+    the full ring and of each quotient, on both omega paths."""
     genus, (p, q, r) = case
     for modulus in (0, ring.quotient(*quot).modulus):
         for x, y in ((p, q), (q, p), (p, r), (p, p), (p, -p)):
-            assert (ring._fibre_mul(x.fibres, y.fibres, modulus)
-                    == loop_fibre_mul(x.fibres, y.fibres, modulus))
+            want = loop_fibre_mul(x.fibres, y.fibres, modulus)
+            for threshold in OMEGA_THRESHOLDS:
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(ring, "_PACKED_OMEGA", threshold)
+                    assert ring._fibre_mul(x.fibres, y.fibres, modulus) == want
 
 
 @given(st.integers(1, 2).flatmap(lambda g: st.tuples(st.just(g), shaped_polys(g, 12))),
@@ -503,17 +517,64 @@ kernel_cases = st.one_of(
 def test_key_slots_match_loop_reference(case):
     """Integer keys against the term-pair loop: coordinate slots at every
     width, k far beyond any slot, omega of either sign reduced mod N, and
-    terms whose sums cancel."""
+    terms whose sums cancel, on both omega paths (with coordinates of 2^66,
+    packed omega slots are wider than 8 bytes)."""
     modulus, (p, q, r) = case
     neg = {x: {k: -c for k, c in f.items()} for x, f in p.items()}
     for x, y in ((p, q), (q, p), (p, r), (p, p), (p, neg), (neg, p)):
         want = loop_fibre_mul(x, y, modulus)
-        assert ring._fibre_mul(x, y, modulus) == want
-        if modulus:
-            # placed operands, each k already reduced
-            x, y = (_summed(((z, k, c) for z, f in o.items() for k, c in f.items()), modulus)
-                    for o in (x, y))
-            assert ring._fibre_mul(x, y, modulus) == want
+        # placed operands, each k already reduced
+        placed = [tuple(_summed(((z, k, c) for z, f in o.items() for k, c in f.items()), modulus)
+                        for o in (x, y))] if modulus else []
+        for threshold in OMEGA_THRESHOLDS:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ring, "_PACKED_OMEGA", threshold)
+                for a, b in [(x, y)] + placed:
+                    assert ring._fibre_mul(a, b, modulus) == want
+
+
+def _scattered(rng, genus, terms, radius):
+    """Fibres of terms random terms, coordinates in [-radius, radius]."""
+    return _summed((tuple(rng.randint(-radius, radius) for _ in range(2 * genus)),
+                    rng.randint(-1, 1), rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(terms))
+
+
+@pytest.mark.parametrize("genus, radii", [(2, (3, 3)), (3, (2, 2)), (4, (2, 2)),
+                                          (2, (2 ** 66, 2 ** 66)), (2, (1, 2 ** 66))])
+def test_packed_omega_above_threshold(genus, radii):
+    """Scattered products of 60 by 30 terms, in either order, whose
+    flattened operand holds at least _PACKED_OMEGA runs, in the full ring
+    and mod 1-7, against the term-pair loop; coordinates of 2^66 make the
+    packed omega slots wider than 8 bytes, also when only the operand
+    that is not flattened has them."""
+    rng = random.Random(genus)
+    p, q = _scattered(rng, genus, 60, radii[0]), _scattered(rng, genus, 30, radii[1])
+    assert min(map(len, (p, q))) >= ring._PACKED_OMEGA
+    for modulus in range(8):
+        for x, y in ((p, q), (q, p)):
+            assert ring._fibre_mul(x, y, modulus) == loop_fibre_mul(x, y, modulus)
+
+
+# Placed terms: single-term fibres with negative k; terms that meet mod 5 (and
+# under u -> 1) and cancel, so their fibre is dropped; and zero coefficients
+PLACE_EXAMPLES = ["u^-7 a + 2 u^-3 b - u^-1 a b + 5 u^-12 - u^-4 a^-2 b^3",
+                  "u^-2 a - u^3 a + u^4 b - 2 u^-1 b + u^-6 b + 3 a b - 3 u^5 a b",
+                  [(-3, (1, 0), 0), (2, (1, 0), 4), (-1, (0, 1), 0), (0, (1, 1), 0)]]
+
+
+@pytest.mark.parametrize("example", PLACE_EXAMPLES)
+@pytest.mark.parametrize("quot", [("moriyama", 0), ("abelian", 0)]
+                         + [("torsion", N) for N in range(1, 8)])
+def test_place_examples(example, quot):
+    """Each quotient's place against one key per term."""
+    if isinstance(example, str):
+        p = parse_poly(1, example)
+    else:  # terms (k, coords, c) given to HeisPolynomial, zeros included
+        p = HeisPolynomial(1, [(HeisElement(1, k, x), c) for k, x, c in example])
+        assert p.fibres == {(1, 0): {2: 4}}
+    s = ring.specialize(p, ring.quotient(*quot))
+    assert dict(s.terms) == reference_specialize(p, *quot)
+    assert all(f and all(f.values()) for f in s.fibres.values())
 
 
 @given(st.sampled_from([1, 2, 3, 16]).flatmap(

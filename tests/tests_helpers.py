@@ -4,10 +4,20 @@ import itertools
 import operator
 
 import numpy as np
+import pytest
 
 from heisencalc import aut, heis, repmatrix as rm, schrodinger as sch
 from heisencalc.heis import HeisElement
 from heisencalc.ring import HeisPolynomial
+
+
+@pytest.fixture
+def cold_constants():
+    """The genus-1 matrix constants, each built once per process, cleared:
+    a test that counts the compositions building them counts them all,
+    whatever ran before it."""
+    for constant in (rm.matrix_Ta, rm.matrix_Tb, rm.matrix_TaTbTa, rm.matrix_boundary_twist):
+        constant.cache_clear()
 
 
 def reference_twist_aut(genus, kind, index=1):
