@@ -9,7 +9,8 @@ form omega:
 with omega(a_i, b_j) the Kronecker delta.  Elements are stored in pair form
 (k, coords) with coords = (l_1, m_1, ..., l_g, m_g).  The word normal form
 u^kappa a_1^{l_1} b_1^{m_1} ... a_g^{l_g} b_g^{m_g} is a derived view, with
-kappa = k - sum_i l_i m_i.
+kappa = k - sum_i l_i m_i.  Words multiply out in closed form, letter by
+letter: omega(x, e a_i) = -e x[b_i] and omega(x, e b_i) = e x[a_i].
 """
 
 import functools
@@ -122,14 +123,11 @@ class HeisElement(Record):
     def __hash__(self):
         return hash((self.genus, self.k, self.coords))
 
-    def _check(self, other):
-        if self.genus != other.genus:
-            raise ValueError("genus mismatch")
-
     def __mul__(self, other):
         if not isinstance(other, HeisElement):
             return NotImplemented
-        self._check(other)
+        if self.genus != other.genus:
+            raise ValueError("genus mismatch")
         # a product of two valid elements of one genus is valid: no __init__
         out = _new(HeisElement)
         _set(out, "genus", self.genus)
@@ -233,12 +231,27 @@ def generator(genus, name, power=1):
     return HeisElement(genus, 0, tuple(coords))
 
 
+@functools.cache
+def letter_slots(genus):
+    """{name: (slot, partner, sign)} of every letter at genus, shared and read only:
+    slot is the index in generator_names (u 0, a_i 2i - 1, b_i 2i); 'a', 'b' are a1, b1."""
+    names = generator_names(genus)
+    slots = {name: (s, s + 1, -1) if s % 2 else (s, s - 1, 1) for s, name in enumerate(names)}
+    return slots | {"u": (0, 0, 0)} | dict(zip("ab", map(slots.get, names[1:3])))
+
+
 def from_word(genus, word):
-    """Multiply out a word given as a sequence of (generator name, exponent)."""
-    result = identity(genus)
-    for name, exp in word:
-        result = result * generator(genus, name, exp)
-    return result
+    """Multiply out a word of (generator name, exponent) in closed form: a letter^e adds
+    e to x[slot] and omega(x, e a_i) = -e x[b_i], omega(x, e b_i) = e x[a_i] to k."""
+    if genus < 1:
+        raise ValueError("genus must be >= 1")
+    slots, k, x = letter_slots(genus), 0, [0] * (2 * genus + 1)  # x[0]: the power of u
+    for name, e in word:
+        # a miss raises generator's message: slots holds every name it reads
+        slot, partner, sign = slots.get(name) or generator(genus, name)
+        k += sign * e * x[partner]
+        x[slot] += e
+    return HeisElement(genus, k + x[0], tuple(x[1:]))
 
 
 def parse_word(text):
@@ -265,9 +278,7 @@ def parse_element(genus, text):
             raise ValueError(f"bad pair form: {text!r}")
         coords = tuple(int(c) for c in m.group(2).split(",")) if m.group(2) else ()
         return HeisElement(genus, int(m.group(1)), coords)
-    if text == "1" or text == "":
-        return identity(genus)
-    return from_word(genus, parse_word(text))
+    return identity(genus) if text == "1" else from_word(genus, parse_word(text))
 
 
 def verify_presentation(genus):

@@ -22,6 +22,28 @@ def test_name_validation():
         BraidWord(1, 1, ())
 
 
+@pytest.mark.parametrize("genus, strands", [(1, 2), (2, 3), (3, 5), (1, 200)])
+def test_name_check_messages(genus, strands):
+    """Letters outside the lookup tables fall back to the per-letter checks,
+    with their messages; the aliases s, a and b are s1, a1 and b1, and s
+    letters past the table of MAX_STRANDS are read by their index."""
+    messages = {"u": "unknown braid generator 'u'",
+                "x1": "unknown braid generator 'x1'",
+                "s01": "unknown braid generator 's01'",
+                "s0": f"'s0' out of range for {strands} strands",
+                f"s{strands}": f"'s{strands}' out of range for {strands} strands",
+                f"a{genus + 1}": f"'a{genus + 1}' out of range for genus {genus}",
+                f"b{genus + 1}": f"'b{genus + 1}' out of range for genus {genus}"}
+    for name, message in messages.items():
+        with pytest.raises(ValueError) as err:
+            BraidWord(genus, strands, (("s1", 1), ("a1", -1), (name, 2)))
+        assert str(err.value) == message
+    w = BraidWord(genus, strands, (("s", 1), ("a", -1), ("b", 2), (f"s{strands - 1}", 2)))
+    assert braid.phi(w) == heis.parse_element(genus, "u^3 a1^-1 b1^2")
+    with pytest.raises(ValueError, match="out of range for genus 0"):
+        BraidWord(0, strands, (("a", 1),))
+
+
 def test_inverse():
     w = BraidWord.parse(1, 2, "s1 a1 b1^-2")
     wi = w.inverse()
@@ -47,7 +69,7 @@ def test_phi_kernel_elements():
 
 def test_bellingeri_all_pass():
     for g in (1, 2, 3):
-        for n in (2, 3, 4):
+        for n in (2, 3, 4, 5):
             report = braid.verify_bellingeri(g, n)
             assert report
             bad = [label for label, ok in report if not ok]

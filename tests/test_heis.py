@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from heisencalc import aut, heis
 from heisencalc.heis import HeisElement
+from tests_helpers import reference_from_word
 
 
 def random_element(rng, genus, span=6):
@@ -115,6 +116,40 @@ def test_parse_rejects_garbage():
         heis.parse_element(1, "(1; 2)")  # wrong coordinate count
     with pytest.raises(ValueError):
         heis.generator(1, "a2")
+
+
+def test_from_word_matches_letter_products():
+    """The closed form against one generator element per letter
+    (reference_from_word): seeded words at genus 1-4 of length 0-40 over every
+    spelling of a name (u, a, b, a<i>, b<i>), exponents in -5..5 with 0, and
+    in every fourth word one letter at +-2^70."""
+    rng = random.Random(20261020)
+    for genus in (1, 2, 3, 4):
+        names = ("u", "a", "b") + heis.generator_names(genus)[1:]
+        for n in range(300):
+            word = [(rng.choice(names), rng.randint(-5, 5)) for _ in range(rng.randint(0, 40))]
+            if word and n % 4 == 0:
+                word[rng.randrange(len(word))] = (rng.choice(names), rng.choice((1, -1)) << 70)
+            x = heis.from_word(genus, word)
+            assert x == reference_from_word(genus, word)
+            assert (x.genus, type(x.k), type(x.coords)) == (genus, int, tuple)
+    assert heis.from_word(2, iter([("a", 2), ("b2", 1), ("u", -1)])) == \
+        reference_from_word(2, [("a", 2), ("b2", 1), ("u", -1)])
+
+
+@pytest.mark.parametrize("genus, word", [
+    (1, [("a0", 1)]), (2, [("a3", 1)]), (2, [("c1", 1)]), (2, [("s1", 1)]),
+    (1, [("", 1)]), (2, [("a1", 2), ("b", 1), ("a3", -1)]), (1, [("a01", 1)]),
+    (0, [("a1", 1)]), (0, [("u", 1)]), (-1, [("c1", 1)])])
+def test_from_word_errors_match_letter_products(genus, word):
+    """A name outside the table, or a genus below 1 with a non-empty word,
+    raises as reference_from_word does: same type and message, the genus
+    before any letter."""
+    with pytest.raises(Exception) as got:
+        heis.from_word(genus, word)
+    with pytest.raises(Exception) as want:
+        reference_from_word(genus, word)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
 def test_presentation_small_genus():

@@ -555,6 +555,37 @@ def test_packed_omega_above_threshold(genus, radii):
             assert ring._fibre_mul(x, y, modulus) == loop_fibre_mul(x, y, modulus)
 
 
+# Genus-2 operands with packed runs and single terms, whose omega(x, y) spans
+# -5..9 between fibres: below 0 and past every modulus of the test
+REDUCTION_OPERANDS = ("(1 + u + u^2 - u^3 + 2 u^4) a1 b2^2 + 3 a2^-2 b1 - u^-1 a1^3 + b1^-2 a2",
+                      "(2 - u + u^2 - u^3 + u^4) b1^3 a2 + a1^-1 b2^-3 - u^5 a2^2 + u^-3 b1 b2")
+
+
+@pytest.mark.parametrize("threshold", OMEGA_THRESHOLDS)
+@pytest.mark.parametrize("N", [3, 5, 7])
+def test_mul_into_reduces_omega_mod_N(N, threshold, monkeypatch):
+    """Under a modulus N, _mul_into writes every key with omega already
+    reduced mod N, on both omega paths (see OMEGA_THRESHOLDS): key >> top
+    lies in [lo_min(left) + lo_min(right), lo_max(left) + lo_max(right) + N),
+    lo over the runs of each packed operand."""
+    monkeypatch.setattr(ring, "_PACKED_OMEGA", threshold)
+    p, q = (parse_poly(2, text).fibres for text in REDUCTION_OPERANDS)
+    omegas = [heis.omega(x, y) for x in p for y in q]
+    assert min(omegas) < 0 and max(omegas) >= 7
+    layout = ring._key_layout(4, list(p) + list(q))
+    width = ring._slot_width(ring._l1_norm(p) * ring._l1_norm(q))
+    left, right = ring._pack(p, width), ring._pack(q, width)
+    # each operand has a fibre of 5 terms packed into one run
+    for fibres, packed in ((p, left), (q, right)):
+        assert sum(map(len, fibres.values())) > sum(len(runs) for _, runs, _ in packed)
+    acc = {}
+    ring._mul_into(acc, left, right, layout, N)
+    los = [[lo for _, runs, _ in packed for lo in runs] for packed in (left, right)]
+    low, high = min(los[0]) + min(los[1]), max(los[0]) + max(los[1]) + N
+    top = layout[3]
+    assert acc and all(low <= key >> top < high for key in acc)
+
+
 # Placed terms: single-term fibres with negative k; terms that meet mod 5 (and
 # under u -> 1) and cancel, so their fibre is dropped; and zero coefficients
 PLACE_EXAMPLES = ["u^-7 a + 2 u^-3 b - u^-1 a b + 5 u^-12 - u^-4 a^-2 b^3",

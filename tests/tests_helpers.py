@@ -37,6 +37,15 @@ def reference_twist_aut(genus, kind, index=1):
     return aut.HeisAutomorphism(genus, tuple(delta), tuple(tuple(r) for r in S))
 
 
+def reference_from_word(genus, word):
+    """A word multiplied out one letter at a time: the product, from the
+    identity, of one generator(genus, name, e) element per letter."""
+    result = heis.identity(genus)
+    for name, e in word:
+        result = result * heis.generator(genus, name, e)
+    return result
+
+
 def block_count_morita_d(i, word):
     """Reference handle-i self-linking count, Morita's block formula: project
     the word to (a_i, b_i), free-reduce it, split it into single letters, then
