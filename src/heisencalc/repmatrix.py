@@ -78,17 +78,17 @@ def identity_matrix(genus, size):
 
 def mat_mul(A, B):
     """Matrix product of the underlying entry arrays, over nonzero entries
-    only: each row of A and of B is listed once as its nonzero entries,
-    and ring.fibre_mat_mul forms each entry as one packed sum."""
+    only: each column of A and each row of B is listed once as its nonzero
+    entries, and ring.fibre_mat_mul forms each entry as one sum."""
     if A.cols != B.rows:
         raise ValueError("dimension mismatch")
     if A.genus != B.genus:
         raise ValueError("genus mismatch")
-    a_rows = [[(k, a.fibres) for k, a in enumerate(row) if a.fibres] for row in A.entries]
-    b_rows = [[(j, b.fibres) for j, b in enumerate(row) if b.fibres] for row in B.entries]
+    a_columns, b_rows = ([[(i, e.fibres) for i, e in enumerate(line) if e.fibres] for line in lines]
+                         for lines in (zip(*A.entries), B.entries))
     zero = HeisPolynomial.zero(A.genus)
     entries = []
-    for sums in ring.fibre_mat_mul(a_rows, b_rows):
+    for sums in ring.fibre_mat_mul(a_columns, b_rows, A.rows):
         row = [zero] * B.cols
         for j, f in sums.items():
             row[j] = HeisPolynomial._of(A.genus, f)

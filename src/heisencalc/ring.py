@@ -4,20 +4,20 @@ A polynomial is stored as its coordinate fibres {coords: {k: nonzero int}}.
 One kernel multiplies in the group ring, in its quotients (_fibre_mul) and
 in matrix products (fibre_mat_mul), with each term (k, x) an integer key:
 
-- packing: a fibre is cut where it skips more than _GAP slots, and the
-  terms c u^k of a piece of at least _MIN_RUN terms from lo become one
-  integer, the sum of c 2^(8 width (k - lo)) (Kronecker substitution), with
-  L1(left) L1(right) < 2^(8 width - 1), which bounds every slot of every
-  partial sum; other terms stay single;
-- keys: the key of a run is lo 2^top plus the coordinates in fixed biased
-  slots below top, so (k, x)(l, y) has the key key(x, k) + key(y, l) +
-  omega(x, y) 2^top, and a pair of runs costs one product and one sum.
-  omega against every run of the operand of more fibres is computed once
-  per fibre of the other, from columns of that operand's dual coordinates,
-  each packed into one integer from _PACKED_OMEGA runs on;
-- output: products are summed while packed under their keys, grouped by
-  coordinates and summed into runs; the runs of every output fibre, then
-  the coordinates of all of them, are each decoded in one pass.
+- packing: but in term mode (width 0, see _operands), a fibre is cut where
+  it skips more than _GAP slots (below _MIN_RUN terms, into its terms), and
+  the terms c u^k of each piece from lo become one integer, the sum of
+  c 2^(8 width (k - lo)) (Kronecker substitution), with L1(left) L1(right)
+  < 2^(8 width - 1) bounding every slot of every sum;
+- keys: the coordinates in fixed biased slots below top, and k 2^top in
+  term mode, so (k, x)(l, y) has the key key(x, k) + key(y, l) +
+  omega(x, y) 2^top.  omega against every run of the operand of more
+  fibres is computed once per fibre of the other, from columns of dual
+  coordinates, each packed into one integer from _PACKED_OMEGA runs on;
+- output: in term mode summed under the keys and grouped by coordinates;
+  packed, one integer per output fibre from one base exponent, at most
+  _SLOTS_PER_PAIR slots per term pair, to which each pair of runs adds its
+  product shifted to its exponent; trimmed, and all decoded at once.
 
 A single-term operand translates the other's fibres instead.  The module
 also provides the three specialization homomorphisms (to Z[u]/(u^2-1), to
@@ -86,7 +86,7 @@ _FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
 # A packed run never skips more than this many empty slots in a row.
 _GAP = 8
 
-# Fibres, and pieces of fibres, of fewer terms are not packed.
+# Fibres of fewer terms are not packed.
 _MIN_RUN = 4
 
 
@@ -119,26 +119,12 @@ def _pack_run(terms, lo, n, width):
 
 
 def _cut(f, width):
-    """Runs {lo: packed} of a fibre {k: c}: it is cut where it skips more
-    than _GAP slots, pieces of at least _MIN_RUN terms are packed, and the
-    others left as single terms."""
+    """Runs {lo: the sum of c 2^(8 width (k - lo))} of a fibre {k: c}, cut
+    where it skips more than _GAP slots (a run of one term is c)."""
     terms = sorted(f.items())
     cuts = [i for i in range(1, len(terms)) if terms[i][0] - terms[i - 1][0] > _GAP]
-    runs = {}
-    for i, j in zip([0] + cuts, cuts + [len(terms)]):
-        if j - i < _MIN_RUN:
-            runs.update(terms[i:j])
-        else:
-            lo = terms[i][0]
-            runs[lo] = _pack_run(terms[i:j], lo, terms[j - 1][0] - lo + 1, width)
-    return runs
-
-
-def _pack(fibres, width, tag=0):
-    """[(x, runs, tag)] of fibres, with tag a key offset (see _mul_into).
-    Runs {lo: packed} stand for the terms c u^k with sum of
-    c 2^(8 width (k - lo)) = packed; single terms stay as they are (see _cut)."""
-    return [(x, f if len(f) < _MIN_RUN else _cut(f, width), tag) for x, f in fibres.items()]
+    return {p[0][0]: _pack_run(p, p[0][0], p[-1][0] - p[0][0] + 1, width) if p[1:] else p[0][1]
+            for p in (terms[i:j] for i, j in zip([0] + cuts, cuts + [len(terms)]))}
 
 
 def _key_layout(n, coords, tags=0):
@@ -151,58 +137,99 @@ def _key_layout(n, coords, tags=0):
     return width, range(0, 8 * width * n, 8 * width), _bias(n, width), 8 * width * n
 
 
+# Most slots per term pair that aligned accumulators may take, S times the
+# pairs of pieces (see _operands; pairs of fibres would miss fibres cut into
+# many pieces): over seeds 1, 101, 701, 911 and 2001, the 17 packing products
+# of mcg_words read 1.7 to 60.9 (median 21.3), those of ring_scatter up to
+# 48.2, and one dense fibre among 200 scattered genus-2 terms, squared, 135.
+_SLOTS_PER_PAIR = 64
+
+
+def _operands(products, n, modulus=0):
+    """(width, base, pairs) for the sum of products, pairs of left and right
+    [(tag, fibres)], each side of pairs flat as [(x, runs, tag)] (see
+    _mul_into).  Aligned, runs are a fibre of _MIN_RUN terms cut (see _cut)
+    or a shorter one, in slots that hold the sum of L1(left) L1(right), each
+    the largest of its side, from base lo(left) + lo(right) - n cmax(left)
+    cmax(right) (that bound of |omega| left out mod N).  Term mode (0, None,
+    runs the fibres) with no fibre of _MIN_RUN terms, or if S = span(left) +
+    span(right) + (2 |omega| + 1, or N) slots per pair of runs exceed
+    _SLOTS_PER_PAIR per term pair, summed over products."""
+    def pairs(operands):
+        return sum(a * b for a, b in ([sum(len(r) for _, r, _ in side) for side in pair]
+                                      for pair in operands))
+    terms = [tuple([(x, f, tag) for tag, fibres in side for x, f in fibres.items()]
+                   for side in pair) for pair in products]
+    if max((len(f) for pair in terms for side in pair for _, f, _ in side), default=0) < _MIN_RUN:
+        return 0, None, terms
+    width = _slot_width(sum(a * b for a, b in (
+        [max(_l1_norm(fibres) for _, fibres in side) for side in pair] for pair in products)))
+    runs = [tuple([(x, _cut(f, width) if len(f) >= _MIN_RUN else f, tag) for x, f, tag in side]
+                  for side in pair) for pair in terms]
+    sides = [[e for pair in terms for e in pair[i]] for i in (0, 1)]
+    lo, hi = ([g(map(g, (f for _, f, _ in side))) for side in sides] for g in (min, max))
+    cmax = [max(map(abs, itertools.chain.from_iterable(x for x, _, _ in side)), default=0)
+            for side in sides]
+    bound = 0 if modulus else n * cmax[0] * cmax[1]
+    slots = hi[0] - lo[0] + hi[1] - lo[1] + (modulus or 2 * bound + 1)
+    if slots * pairs(runs) > _SLOTS_PER_PAIR * pairs(terms):
+        return 0, None, terms
+    return width, lo[0] + lo[1] - bound, runs
+
+
 # A flattened operand of at least this many runs takes omega from packed
 # columns (see _mul_into); below it, summing the columns term by term is faster.
 _PACKED_OMEGA = 24
 
 
-def _mul_into(acc, left, right, layout, modulus=0):
-    """Add the product of packed left and right to acc {key: packed sum}:
-    (k, x)(l, y) = (k + l + omega(x, y), x + y) has the key
-    key(x, k) + key(y, l) + omega(x, y) 2^top, tags included, omega reduced
-    mod a nonzero modulus and left out mod 1.  The operand of more
-    fibres is flattened into columns, one entry per run: keys, coefficients
-    and the n coordinates of dual(y), with omega(x, y) the dot product of
-    x[::2] + x[1::2] and dual(y) (negated for a flat left).  Per fibre x of
-    the other operand, omega against every run is one sum of the columns
-    scaled by the nonzero x_j, and each pair of runs costs one product.
-    From _PACKED_OMEGA runs on, each column is one packed run (see _pack_run)
-    in slots that hold any omega, and the sum is read back by one _slots
-    call; below that, the columns hold dual(y) 2^top and are summed term by
-    term."""
+def _mul_into(acc, left, right, layout, modulus=0, width=0, base=0):
+    """Add the product of left and right, packed at width, to acc:
+    (k, x)(l, y) = (k + l + omega(x, y), x + y), tags included, omega
+    reduced into [0, N) mod a modulus N and left out mod 1.  At width 0 acc
+    is {key(x, k) + key(y, l) + omega 2^top: c}, else {key(x + y): sum from
+    exponent base}, to which runs from k and l add their product shifted by
+    8 width (k + l + omega - base) bits.  The operand of more fibres is
+    flattened into columns, one entry per run: keys, exponents, coefficients
+    and the n coordinates of dual(y), omega(x, y) being x[::2] + x[1::2]
+    dotted with dual(y) (negated for a flat left); per fibre x of the other,
+    omega against every run sums the columns scaled by the nonzero x_j, from
+    _PACKED_OMEGA runs on packed (see _pack_run) and read by one _slots call."""
     _, shifts, bias, top = layout
+    kshift = 0 if width else top  # an exponent counts slots, or sits at the top of a key
+    bits = 8 * width
     add, mul, lshift, repeat = operator.add, operator.mul, operator.lshift, itertools.repeat
     sign = 1
     if len(left) > len(right):
         left, right, sign = right, left, -1
     packed = modulus != 1 and sum(len(runs) for _, runs, _ in right) >= _PACKED_OMEGA
-    scale = 0 if modulus == 1 else sign if packed else sign << top
-    keys, coeffs, duals = [], [], []
+    scale = 0 if modulus == 1 else sign if packed else sign << kshift
+    keys, exps, coeffs, duals = [], [], [], []
     for y, runs, tag in right:
         key = sum(map(lshift, y, shifts)) + tag
+        offset = -base if width else key  # a term's key holds its exponent
         dual = tuple(map(mul, y[1::2] + tuple(map(operator.neg, y[::2])), repeat(scale)))
-        for lo, c in runs.items():
-            keys.append(key + (lo << top))
-            coeffs.append(c)
-            duals.append(dual)
+        keys += [key] * len(runs)
+        exps += [(lo << kshift) + offset for lo in runs]
+        coeffs += runs.values()
+        duals += [dual] * len(runs)
     duals = list(zip(*duals)) if scale else []
     if packed and duals:
         cmax = max(map(abs, itertools.chain.from_iterable(
             x for x, _, _ in itertools.chain(left, right))))
-        width = _slot_width(len(duals) * cmax * cmax)
-        duals = [_pack_run(enumerate(column), 0, len(keys), width) for column in duals]
-        wbias, size = _bias(len(keys), width), len(keys) * width
+        slot = _slot_width(len(duals) * cmax * cmax)
+        duals = [_pack_run(enumerate(column), 0, len(keys), slot) for column in duals]
+        wbias, size = _bias(len(keys), slot), len(keys) * slot
     get = acc.get
     for x, runs, tag in left:
         xs = x[::2] + x[1::2]
         if not (duals and any(xs)):
-            xkeys = keys
+            xexps = exps
         elif packed:
             omegas = sum(dual * xj for xj, dual in zip(xs, duals) if xj)
-            omegas = _slots([(omegas + wbias) ^ wbias], [size], width)
+            omegas = _slots([(omegas + wbias) ^ wbias], [size], slot)
             if modulus:
                 omegas = map(operator.mod, omegas, repeat(modulus))
-            xkeys = list(map(add, keys, map(lshift, omegas, repeat(top))))
+            xexps = list(map(add, exps, map(lshift, omegas, repeat(kshift))))
         else:
             omegas = None
             for xj, dual in zip(xs, duals):
@@ -210,14 +237,19 @@ def _mul_into(acc, left, right, layout, modulus=0):
                     scaled = map(mul, dual, repeat(xj))
                     omegas = scaled if omegas is None else map(add, omegas, scaled)
             if modulus:
-                omegas = map(operator.mod, omegas, repeat(modulus << top))
-            xkeys = list(map(add, keys, omegas))
+                omegas = map(operator.mod, omegas, repeat(modulus << kshift))
+            xexps = list(map(add, exps, omegas))
         key = sum(map(lshift, x, shifts)) + bias + tag
         for lo, v in runs.items():
-            lo = key + (lo << top)
-            for k, d in zip(xkeys, coeffs):
-                k += lo
-                acc[k] = get(k, 0) + v * d
+            if width:
+                for k, e, d in zip(keys, xexps, coeffs):
+                    k += key
+                    acc[k] = get(k, 0) + ((v * d) << bits * (e + lo))
+            else:
+                lo = key + (lo << top)
+                for k, d in zip(xexps, coeffs):
+                    k += lo
+                    acc[k] = get(k, 0) + v * d
 
 
 def _slots(codes, sizes, width):
@@ -231,57 +263,37 @@ def _slots(codes, sizes, width):
             for i in range(0, len(data), width)]
 
 
-def _runs(sums, width):
-    """Disjoint packed runs [lo, hi, packed] that add up to sums
-    {lo: packed}: the sums sorted by lo, each added to the run before it
-    unless that would skip more than _GAP slots."""
-    shift = 8 * width
-    # a packed sum of |value| < 2^(8 width m) holds at most m slots
-    spans = sorted((o, o + v.bit_length() // shift, v) for o, v in sums.items())
-    runs = [list(spans[0])]
-    for o, top, v in spans[1:]:
-        run = runs[-1]
-        if o > run[1] + _GAP:
-            runs.append([o, top, v])
-        else:
-            run[1] = max(run[1], top)
-            run[2] += v << (shift * (o - run[0]))
-    return runs
-
-
-def _unpack(acc, layout, width, modulus=0):
-    """Fibres of the sum that acc holds (see _mul_into): the sums are grouped
-    by coords, each k reduced mod a nonzero modulus, and the sums of more
-    than one slot (width 0: none) added while packed into runs (see _runs).
-    The runs of all fibres are decoded at once, then the coords of all fibres."""
+def _unpack(acc, layout, width=0, base=0, modulus=0):
+    """Fibres of the sum that acc holds (see _mul_into), each k reduced mod
+    a nonzero modulus: grouped by coords at width 0, else trimmed to the
+    nonzero slots, from the lowest set bit (each slot holds |c| < 2^(8 width
+    - 1)) to the top of the bit length; decoded at once, then all coords."""
     cwidth, shifts, bias, top = layout
-    mask = (1 << top) - 1
-    fibres = {}
-    for key, v in acc.items():
-        if v:
-            z, k = key & mask, (key >> top) % modulus if modulus else key >> top
-            f = fibres.get(z)
-            if f is None:
-                fibres[z] = {k: v}
-            else:
-                v += f.pop(k, 0)  # only under a modulus is k in f
-                if v:
-                    f[k] = v
-    half = 1 << (8 * width - 1) if width else 0
-    wide = [(z, _runs(f, width)) for z, f in fibres.items()
-            if max(map(abs, f.values()), default=0) >= half] if width else []
-    if wide:
-        runs = [run for _, rs in wide for run in rs]
-        biases = {n: _bias(n, width) for n in {hi - lo + 1 for lo, hi, _ in runs}}  # by length
-        slots = _slots([(v + biases[hi - lo + 1]) ^ biases[hi - lo + 1] for lo, hi, v in runs],
-                       [width * (hi - lo + 1) for lo, hi, _ in runs], width)
-        end = 0
-        for z, rs in wide:
-            f = {}
-            for lo, hi, _ in rs:
-                cs, end = slots[end:end + hi - lo + 1], end + hi - lo + 1
-                f.update(itertools.compress(zip(range(lo, hi + 1), cs), cs))
-            fibres[z] = _pruned({z: f}, modulus).get(z, {}) if modulus else f
+    mask, shift, fibres, spans = (1 << top) - 1, 8 * width, {}, []
+    if width:
+        for key, v in acc.items():
+            if v:
+                j = ((v & -v).bit_length() - 1) // shift  # the lowest nonzero slot
+                spans.append((key, base + j, v.bit_length() // shift - j + 1, v >> shift * j))
+    else:
+        for key, v in acc.items():
+            if v:
+                z, k = key & mask, (key >> top) % modulus if modulus else key >> top
+                f = fibres.get(z)
+                if f is None:
+                    fibres[z] = {k: v}
+                else:
+                    v += f.pop(k, 0)  # only under a modulus is k in f
+                    if v:
+                        f[k] = v
+    if spans:
+        biases = {n: _bias(n, width) for n in {n for _, _, n, _ in spans}}  # by length
+        slots, end = _slots([(v + biases[n]) ^ biases[n] for _, _, n, v in spans],
+                            [width * n for _, _, n, _ in spans], width), 0
+        for z, lo, n, _ in spans:
+            cs, end = slots[end:end + n], end + n
+            fibres[z] = dict(itertools.compress(zip(range(lo, lo + n), cs), cs))
+        fibres = _pruned(fibres, modulus) if modulus else fibres
     codes = map(operator.xor, fibres, itertools.repeat(bias))
     coords = (zip(*[iter(_slots(codes, itertools.repeat(top // 8), cwidth))] * len(shifts)) if top
               else [()] * len(fibres))
@@ -320,50 +332,37 @@ def _fibre_mul(left, right, modulus=0):
     modulus.  A single-term operand translates the other's fibres."""
     if not (left and right):
         return {}
-    term = _single(left)
-    if term:
-        return _translated(term, right, True, modulus)
-    term = _single(right)
-    if term:
-        return _translated(term, left, False, modulus)
-    layout = _key_layout(len(next(iter(left))), itertools.chain(left, right))
-    # with no fibre to pack, every sum is one slot
-    width = (_slot_width(_l1_norm(left) * _l1_norm(right))
-             if max(map(len, itertools.chain(left.values(), right.values()))) >= _MIN_RUN else 0)
+    for one, other, on_left in ((left, right, True), (right, left, False)):
+        term = _single(one)
+        if term:
+            return _translated(term, other, on_left, modulus)
+    n = len(next(iter(left)))
+    layout = _key_layout(n, itertools.chain(left, right))
+    width, base, ((left, right),) = _operands([([(0, left)], [(0, right)])], n, modulus)
     acc = {}
-    _mul_into(acc, _pack(left, width), _pack(right, width), layout, modulus)
-    return _unpack(acc, layout, width, modulus)
+    _mul_into(acc, left, right, layout, modulus, width, base)
+    return _unpack(acc, layout, width, base, modulus)
 
 
-def fibre_mat_mul(a_rows, b_rows):
+def fibre_mat_mul(a_columns, b_rows, rows):
     """Entries of a matrix product over the fibres of its nonzero entries:
-    a_rows and b_rows list each row's nonzero (column, fibres), and each
-    row of the result is {column: fibres}.  The product is one sum over k
-    of column k of A times row k of B (see _mul_into), with each entry's
-    row i or column j tagged in two slots past the coordinates, so that
-    the terms at (i, j) sum to entry (i, j); the sum is unpacked once."""
-    entries = [f for row in a_rows + b_rows for _, f in row]
+    a_columns lists the nonzero (row, fibres) of each column of A, of rows
+    rows, and b_rows those (column, fibres) of each row of B.  Row i of the
+    result is {j: fibres}, one sum over k of A_ik B_kj (see _mul_into), each
+    term tagged with i and j in two key slots past the coordinates."""
+    entries = [f for line in a_columns + b_rows for _, f in line]
     n = len(next(iter(entries[0]))) if entries else 0
     last = max((j for row in b_rows for j, _ in row), default=0)
-    layout = _key_layout(n + 2, itertools.chain.from_iterable(entries), max(len(a_rows), last))
-    # no slot of any entry's sum exceeds this bound in absolute value
-    bound = (max((sum(_l1_norm(f) for _, f in row) for row in a_rows), default=0)
-             * max((_l1_norm(f) for row in b_rows for _, f in row), default=0))
-    if not bound:  # A or B is zero; the other's coefficients need not fit a slot
-        return [{} for _ in a_rows]
-    width = _slot_width(bound)
+    layout = _key_layout(n + 2, itertools.chain.from_iterable(entries), max(rows, last))
     row_tag, column_tag = layout[1][n:]
-    a_columns = [[] for _ in b_rows]
-    for i, row in enumerate(a_rows):
-        for k, f in row:
-            a_columns[k] += _pack(f, width, i << row_tag)
+    products = [([(i << row_tag, f) for i, f in column], [(j << column_tag, f) for j, f in row])
+                for column, row in zip(a_columns, b_rows) if column and row]
+    width, base, pairs = _operands(products, n)
     acc = {}
-    for column, row in zip(a_columns, b_rows):
-        if column and row:
-            _mul_into(acc, column, [t for j, f in row for t in _pack(f, width, j << column_tag)],
-                      layout)
-    out = [{} for _ in a_rows]
-    for x, f in _unpack(acc, layout, width).items():
+    for left, right in pairs:
+        _mul_into(acc, left, right, layout, 0, width, base)
+    out = [{} for _ in range(rows)]
+    for x, f in _unpack(acc, layout, width, base).items():
         out[x[n]].setdefault(x[n + 1], {})[x[:n]] = f
     return out
 

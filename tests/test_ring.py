@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -144,7 +145,8 @@ def test_str_parse_round_trip_of_large_sums():
 
 def test_parse_time_grows_with_the_sum():
     """A sum is read in one pass: 4 times the terms take well under 6 times
-    as long (the least of 3 runs each)."""
+    as long (the least of 3 runs each, in the process's CPU time, so that
+    another process on the same cores does not count)."""
     rng = random.Random(0)
     texts = [" + ".join(f"{rng.randint(1, 9)} u^{rng.randint(-3, 3)} a^{rng.randint(-40, 40)} "
                         f"b^{rng.randint(-40, 40)}" for _ in range(n)) for n in (2000, 8000)]
@@ -152,9 +154,9 @@ def test_parse_time_grows_with_the_sum():
     def least_time(text):
         times = []
         for _ in range(3):
-            t0 = time.perf_counter()
+            t0 = time.process_time()
             parse_poly(1, text)
-            times.append(time.perf_counter() - t0)
+            times.append(time.process_time() - t0)
         return min(times)
     short, long = map(least_time, texts)
     assert long < 6 * short
@@ -365,12 +367,30 @@ OMEGA_OPERANDS = [("a", "b", "b + 2 a b"),
                   ("a - u^2 b", "(1 + u + u^2 + u^3) a + (1 + u + u^2 + u^3) b", "b - u^2 a")]
 
 
-def omega_examples(to_args):
-    """hypothesis examples at moduli 3, 5 and 7 of every OMEGA_OPERANDS row:
-    to_args(N, polys) gives the test's arguments."""
+# Genus-1 operands of the aligned accumulators.  In the first row the fibre
+# a b of p q sums to zero at both ends, so it is trimmed; the second has only
+# negative exponents.  In the last two, 1 + u + u^2 + u^3 + u^K a times
+# 1 + u + u^2 + u^3 + u^L a takes accumulators of K + L + 5 slots, four pairs
+# of pieces against 25 term pairs: K + L = 395 is just inside the guard at 64 slots
+# per term pair, K + L = 396 (both 198) just outside it.
+ALIGNED_OPERANDS = [("(1 + u + u^2 + u^3) a + u^2 (1 + u + u^2 + u^3) b",
+                     "(1 + u + u^2 + u^3) b - (1 + u + 2 u^2 + u^3) a",
+                     "u^2 a b - u^5 (1 + u) a^-1 + u^3 - u^8"),
+                    ("u^-9 (1 - 2 u + u^2 + 3 u^3) a^-1 + u^-12 b - u^-20 (1 - u + u^2 - u^3)",
+                     "u^-3 (2 - u - u^2 + 4 u^3) b^-1 - u^-7 a",
+                     "u^-30 (1 + u + u^2 + u^3 + u^4) a b"),
+                    ("1 + u + u^2 + u^3 + u^197 a", "1 + u + u^2 + u^3 + u^198 a",
+                     "1 + u + u^2 + u^3 + u^197 a"),
+                    ("1 + u + u^2 + u^3 + u^198 a", "1 + u + u^2 + u^3 + u^198 a",
+                     "1 + u + u^2 + u^3 + u^197 a")]
+
+
+def omega_examples(to_args, rows=OMEGA_OPERANDS):
+    """hypothesis examples at moduli 3, 5 and 7 of every row of operand
+    texts: to_args(N, polys) gives the test's arguments."""
     def decorate(test):
         for N in (3, 5, 7):
-            for texts in OMEGA_OPERANDS:
+            for texts in rows:
                 test = example(*to_args(N, tuple(parse_poly(1, t) for t in texts)))(test)
         return test
     return decorate
@@ -442,9 +462,12 @@ def test_specialized_ops_with_other_types_are_type_errors():
 @given(genus_and_polys, quotients)
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @omega_examples(lambda N, polys: ((1, polys), ("torsion", N)))
+@omega_examples(lambda N, polys: ((1, polys), ("torsion", N)), ALIGNED_OPERANDS)
 def test_packed_kernel_matches_loop_reference(case, quot):
     """The packed kernel against the term-pair loop, with the modulus of
-    the full ring and of each quotient, on both omega paths."""
+    the full ring and of each quotient, on both omega paths, also where
+    the aligned accumulators are trimmed at both ends, hold only negative
+    exponents, wrap past the modulus or just fit the guard."""
     genus, (p, q, r) = case
     for modulus in (0, ring.quotient(*quot).modulus):
         for x, y in ((p, q), (q, p), (p, r), (p, p), (p, -p)):
@@ -564,26 +587,33 @@ REDUCTION_OPERANDS = ("(1 + u + u^2 - u^3 + 2 u^4) a1 b2^2 + 3 a2^-2 b1 - u^-1 a
 @pytest.mark.parametrize("threshold", OMEGA_THRESHOLDS)
 @pytest.mark.parametrize("N", [3, 5, 7])
 def test_mul_into_reduces_omega_mod_N(N, threshold, monkeypatch):
-    """Under a modulus N, _mul_into writes every key with omega already
-    reduced mod N, on both omega paths (see OMEGA_THRESHOLDS): key >> top
-    lies in [lo_min(left) + lo_min(right), lo_max(left) + lo_max(right) + N),
-    lo over the runs of each packed operand."""
+    """Under a modulus N, _mul_into places every product with omega already
+    reduced mod N, on both omega paths (see OMEGA_THRESHOLDS), so that its
+    exponent lies in [lo, hi) = [lo(p) + lo(q), hi(p) + hi(q) + N): in term
+    mode in the top of its key, and aligned (packed) in the slots of an
+    accumulator from base = lo to below hi - lo."""
     monkeypatch.setattr(ring, "_PACKED_OMEGA", threshold)
     p, q = (parse_poly(2, text).fibres for text in REDUCTION_OPERANDS)
     omegas = [heis.omega(x, y) for x in p for y in q]
     assert min(omegas) < 0 and max(omegas) >= 7
     layout = ring._key_layout(4, list(p) + list(q))
-    width = ring._slot_width(ring._l1_norm(p) * ring._l1_norm(q))
-    left, right = ring._pack(p, width), ring._pack(q, width)
-    # each operand has a fibre of 5 terms packed into one run
-    for fibres, packed in ((p, left), (q, right)):
-        assert sum(map(len, fibres.values())) > sum(len(runs) for _, runs, _ in packed)
-    acc = {}
-    ring._mul_into(acc, left, right, layout, N)
-    los = [[lo for _, runs, _ in packed for lo in runs] for packed in (left, right)]
-    low, high = min(los[0]) + min(los[1]), max(los[0]) + max(los[1]) + N
+    ks = [[k for f in fibres.values() for k in f] for fibres in (p, q)]
+    lo, hi = min(ks[0]) + min(ks[1]), max(ks[0]) + max(ks[1]) + N
+    width, base, (packed,) = ring._operands([([(0, p)], [(0, q)])], 4, N)
+    assert base == lo and width == ring._slot_width(ring._l1_norm(p) * ring._l1_norm(q))
     top = layout[3]
-    assert acc and all(low <= key >> top < high for key in acc)
+    terms = [[(x, f, 0) for x, f in fibres.items()] for fibres in (p, q)]
+    for w, (left, right) in ((0, terms), (width, packed)):
+        if w:  # each operand has a fibre of 5 terms packed into one run
+            for fibres, packed in ((p, left), (q, right)):
+                assert sum(map(len, fibres.values())) > sum(len(runs) for _, runs, _ in packed)
+        acc = {}
+        ring._mul_into(acc, left, right, layout, N, w, base)
+        assert acc
+        if w:
+            assert all(v.bit_length() // (8 * w) < hi - lo for v in acc.values())
+        else:
+            assert all(lo <= key >> top < hi for key in acc)
 
 
 # Placed terms: single-term fibres with negative k; terms that meet mod 5 (and
@@ -611,9 +641,12 @@ def test_place_examples(example, quot):
 @given(st.sampled_from([1, 2, 3, 16]).flatmap(
     lambda g: st.tuples(st.just(g), key_slot_operands(2 * g, 12))))
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@example((1, [parse_poly(1, t).fibres for row in ALIGNED_OPERANDS[:2] + OMEGA_OPERANDS[2:]
+              for t in row]))
 def test_mat_mul_key_slots_match_dense(case):
     """A 2x3 times 3x2 product, row and column tags included, against the
-    product of every pair of entries by the loop reference."""
+    product of every pair of entries by the loop reference; in the example,
+    every entry sum is one aligned accumulator."""
     genus, fibres = case
     polys = [HeisPolynomial._of(genus, f) for f in fibres]
     ident = aut.identity_aut(genus)
@@ -636,15 +669,21 @@ def test_mat_mul_by_zero_matrix(coeff):
 
 def test_mat_mul_tags_past_one_byte():
     """Row and column indices past 127 widen the slots of small coordinates:
-    200 x 1 times 1 x 2, and 2 x 1 times 1 x 200."""
+    200 x 1 times 1 x 2, and 2 x 1 times 1 x 200, of single-term fibres in
+    term mode (k above the tags in each key), and of fibres of four terms in
+    aligned accumulators."""
     ident = aut.identity_aut(1)
-    entries = [parse_poly(1, f"{i % 5 + 1} a - u^{i} b + 1") for i in range(200)]
-    tall = rm.RepMatrix(1, tuple((p,) for p in entries), ident)
-    wide = rm.RepMatrix(1, (tuple(entries),), ident)
-    row = rm.RepMatrix(1, ((entries[7], entries[199]),), ident)
-    column = rm.RepMatrix(1, ((entries[7],), (entries[199],)), ident)
-    for A, B in ((tall, row), (column, wide)):
-        assert rm.mat_mul(A, B) == dense_mat_mul(A, B)
+    for text, aligned in (("{c} a - u^{i} b + 1", False), ("{c} a - u^{j} b + (1 - u)^3", True)):
+        entries = [parse_poly(1, text.format(c=i % 5 + 1, i=i, j=i % 7)) for i in range(200)]
+        tall = rm.RepMatrix(1, tuple((p,) for p in entries), ident)
+        wide = rm.RepMatrix(1, (tuple(entries),), ident)
+        row = rm.RepMatrix(1, ((entries[7], entries[199]),), ident)
+        column = rm.RepMatrix(1, ((entries[7],), (entries[199],)), ident)
+        for A, B in ((tall, row), (column, wide)):
+            products = [([(i, e[0].fibres) for i, e in enumerate(A.entries)], list(enumerate(
+                b.fibres for b in B.entries[0])))]
+            assert bool(ring._operands(products, 2)[0]) == aligned
+            assert rm.mat_mul(A, B) == dense_mat_mul(A, B)
 
 
 SLOT_SCALES = [1, 2 ** 3, 2 ** 12, 2 ** 28, 2 ** 60, 2 ** 100]
@@ -653,21 +692,28 @@ SLOT_SCALES = [1, 2 ** 3, 2 ** 12, 2 ** 28, 2 ** 60, 2 ** 100]
 @pytest.mark.parametrize("scale", SLOT_SCALES)
 def test_every_slot_width(scale):
     """Products whose coefficient bound needs 1, 2, 4, 8 and more than 8
-    bytes a slot, with signs that borrow across slots."""
+    bytes a slot, with signs that borrow across slots, in aligned
+    accumulators whose lowest and highest slots are negative or positive."""
     p = parse_poly(1, "1 - u + 3 u^2 - u^3 + u^4 - 2 u^5 + a") * scale
     q = parse_poly(1, "-1 - u^-1 + u^-2 - 3 u^-3 + u^-4 + b - u b") * scale
-    for x, y in ((p, q), (q, p), (p, p), (q, -q)):
+    for x, y in ((p, q), (q, p), (p, p), (q, -q), (-p, q)):
+        assert ring._operands([([(0, x.fibres)], [(0, y.fibres)])], 2)[0]
         assert (x * y).fibres == loop_fibre_mul(x.fibres, y.fibres)
     assert ring._slot_width(2 ** 7 - 1) == 1 and ring._slot_width(2 ** 7) == 2
     assert ring._slot_width(2 ** 15) == 4 and ring._slot_width(2 ** 63 - 1) == 8
     assert ring._slot_width(2 ** 63) == 9 and ring._slot_width(2 ** 80) == 11
 
 
-@pytest.mark.parametrize("modulus", [0, 40, 64])
+SPLIT_MODULI = [0, 3, 7, 40, 64]
+
+
+@pytest.mark.parametrize("modulus", SPLIT_MODULI)
 def test_split_runs_under_modulus(modulus):
-    """A packed product whose output fibres hold several runs more than _GAP
-    slots apart; at modulus 40 the last run of the constant fibre wraps past
-    the modulus onto the first."""
+    """Packed products whose operand fibres are cut into runs more than _GAP
+    slots apart.  Each output fibre is one aligned accumulator, and the
+    constant fibre keeps a gap of more than _GAP empty slots between its
+    terms, but at moduli 3 and 7, where every fibre wraps past the modulus
+    many times; at 40 its last terms wrap onto the first."""
     p = parse_poly(1, "1 + 2 u + u^2 - u^3 + 3 u^20 - u^21 + u^22 + u^23"
                       " + a - u a + 2 u^2 a + u^3 a")
     q = parse_poly(1, "1 - u + u^2 + 2 u^3 + u^17 + u^18 - u^19 + u^20"
@@ -676,7 +722,7 @@ def test_split_runs_under_modulus(modulus):
         out = ring._fibre_mul(x.fibres, y.fibres, modulus)
         assert out == loop_fibre_mul(x.fibres, y.fibres, modulus)
         ks = sorted(out[(0, 0)])
-        assert max(b - a for a, b in zip(ks, ks[1:])) > ring._GAP
+        assert modulus in (3, 7) or max(b - a for a, b in zip(ks, ks[1:])) > ring._GAP
 
 
 def test_slot_by_slot_fallback(monkeypatch):
@@ -687,17 +733,53 @@ def test_slot_by_slot_fallback(monkeypatch):
     test_mat_mul_key_slots_match_dense()
     for scale in SLOT_SCALES:
         test_every_slot_width(scale)
-    for modulus in (0, 40, 64):
+    for modulus in SPLIT_MODULI:
         test_split_runs_under_modulus(modulus)
 
 
+def test_sparse_accumulators_run_in_term_mode():
+    """A 200-term scattered genus-2 polynomial with one dense fibre would
+    take aligned accumulators of 135 slots per term pair, past the guard:
+    its square and the square of the 2 x 2 matrix of it run in term mode,
+    equal to the loop references, and the square stays within twice the
+    tracemalloc peak of the kernel that summed packed runs under their
+    exponents and merged them (10,324,268 bytes, Python 3.11; tracing the
+    matrix product too would take seconds).  The last two rows of
+    ALIGNED_OPERANDS just fit the guard, or just miss it."""
+    p = _scattered(random.Random(0), 2, 200, 4)
+    p[(0,) * 4] = {k: 1 + k % 3 for k in range(8)}
+    assert ring._operands([([(0, p)], [(0, p)])], 4)[:2] == (0, None)
+    P = HeisPolynomial._of(2, p)
+    P * P
+    tracemalloc.start()
+    try:
+        square = P * P
+        assert tracemalloc.get_traced_memory()[1] < 2 * 10_324_268
+    finally:
+        tracemalloc.stop()
+    assert square.fibres == loop_fibre_mul(p, p)
+    M = rm.RepMatrix(2, ((P, P), (P, P)), aut.identity_aut(2))
+    assert ring._operands([([(0, p), (1, p)], [(0, p), (1, p)])], 4)[:2] == (0, None)
+    assert rm.mat_mul(M, M) == dense_mat_mul(M, M)
+    for texts, inside in zip(ALIGNED_OPERANDS[2:], (True, False)):
+        x, y = (parse_poly(1, t).fibres for t in texts[:2])
+        assert bool(ring._operands([([(0, x)], [(0, y)])], 2)[0]) == inside
+
+
 def test_sparse_exponents_cost_terms():
-    """Exponents far apart are cut into separate runs, so the cost follows
-    the terms and not the u-span or the coordinates."""
+    """Exponents far apart would leave aligned accumulators sparse, so the
+    products run in term mode: the cost follows the terms and not the
+    u-span or the coordinates.  So does one fibre of 200 terms _GAP + 1
+    slots apart, squared: one fibre pair, but 40,000 pairs of pieces, each
+    of which would add into 3,583 slots."""
     p = parse_poly(1, "u^100000 + 1 + u + u^2 + u^3 + u^4 - u^-100000 a")
     q = parse_poly(1, "u^1000000000000000 + a^1000000 b^1000000 + 1 - u - u^2 + u^3")
     t0 = time.perf_counter()
+    spaced = {(0, 0): {(ring._GAP + 1) * i: 1 + i % 3 for i in range(200)}}
+    assert ring._operands([([(0, spaced)], [(0, spaced)])], 2)[:2] == (0, None)
+    assert ring._fibre_mul(spaced, spaced) == loop_fibre_mul(spaced, spaced)
     for x, y in ((p, p), (p, q), (q, q), (q, p)):
+        assert ring._operands([([(0, x.fibres)], [(0, y.fibres)])], 2)[:2] == (0, None)
         assert (x * y).terms == reference_mul(x, y)
     M = rm.RepMatrix(1, ((p, q), (q, p)), aut.identity_aut(1))
     assert rm.mat_mul(M, M) == dense_mat_mul(M, M)
