@@ -35,6 +35,7 @@ NAME = re.compile(f"(?:u|[abs](?:{INDEX})?)(?![0-9])")
 LETTER = re.compile(rf"({NAME.pattern})(?:\^({INTEGER}))?")
 # the pair form, compiled on its first use
 PAIR = rf"\(\s*({INTEGER})\s*;\s*((?:{INTEGER}(?:\s*,\s*{INTEGER})*)?)\s*\)"
+MEMO_PIECES, PIECE_CHARS = 4096, 64  # the memo of each reader: most pieces, longest piece
 
 
 def check_genus(genus):
@@ -145,10 +146,6 @@ class HeisElement(Record):
     def is_identity(self):
         return self.k == 0 and all(c == 0 for c in self.coords)
 
-    def word_exponents(self):
-        """Return (kappa, coords) for the word normal form u^kappa prod a_i^l b_i^m."""
-        return self.k - quadratic(self.coords), self.coords
-
     def word_str(self, latex=False):
         """Word normal form, e.g. 'u^2 a1^-2 b1^2', or in LaTeX 'u^{2} a^{-2} b^{2}'."""
         return word(self.k - quadratic(self.coords), letters(self.coords, latex), latex)
@@ -254,9 +251,29 @@ def from_word(genus, word):
     return HeisElement(genus, k + x[0], tuple(x[1:]))
 
 
+def reader(scan):
+    """Read text through scan (text -> list, raising ValueError) by whitespace pieces, which
+    no token spans, each scanned once into a bounded memo of tuples, into a new list.  A bad
+    piece, or one past PIECE_CHARS, sends the whole text to scan, whose error names its place."""
+    @functools.wraps(scan)
+    def read(text):
+        pieces = text.split()
+        try:
+            if max(map(len, pieces), default=0) <= PIECE_CHARS:
+                return functools.reduce(operator.iconcat, map(read.memo, pieces), [])
+        except ValueError:
+            pass
+        return scan(text)
+    read.memo = functools.lru_cache(MEMO_PIECES)(lambda piece: tuple(scan(piece)))
+    return read
+
+
+@reader
 def parse_word(text):
     """Split 'u^2 a1^-2 b1' into [(letter name, exponent)]; names are not checked
     beyond the grammar, and juxtaposed letters ('a1b1') are two letters."""
+    if m := LETTER.fullmatch(text):  # one letter, as most pieces are: one match
+        return [(m[1], int(m[2]) if m[2] else 1)]
     word = []
     pos = 0
     for m in LETTER.finditer(text):

@@ -491,7 +491,9 @@ class HeisPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Expression parsing.  Grammar (whitespace-insensitive):
+# Expression parsing, one whitespace piece at a time through heis.reader (its memo bounded
+# by heis.MEMO_PIECES and heis.PIECE_CHARS; a bad or longer piece reads the whole text, so
+# an error names its place in it).  Grammar (whitespace-insensitive):
 #   expr    := ['+'|'-'] product (('+'|'-') product)*    (summed once)
 #   product := factor+                      (juxtaposition is multiplication)
 #   factor  := term | '(' expr ')' ['^' int]
@@ -519,9 +521,11 @@ _EXPR_TOKEN = re.compile(rf"\s*(?:(?P<int>{heis.DIGITS})|(?P<sym>{heis.NAME.patt
                          rf"|\^(?P<pow>{heis.INTEGER})|([+\-()]))")
 
 
-def _tokens(text):
-    """The tokens of text, the next one last, over an end (None, None) that no
-    rule accepts: ('int', n), ('sym', name), ('pow', n) or (c, None), c in '+-()'."""
+@heis.reader
+def _scan(text):
+    """Tokens of text in order: ('int', n), ('sym', name), ('pow', n) or (c, None), c in '+-()'."""
+    if m := heis.LETTER.fullmatch(text):  # one letter, as most pieces are: one match
+        return [("sym", m[1]), ("pow", int(m[2]))] if m[2] else [("sym", m[1])]
     tokens, pos = [], 0
     for m in _EXPR_TOKEN.finditer(text):
         if m.start() != pos:
@@ -531,7 +535,11 @@ def _tokens(text):
         pos = m.end()
     if text[pos:].strip():
         raise ValueError(f"bad expression near {text[pos:]!r}")
-    return [(None, None)] + tokens[::-1]
+    return tokens
+
+
+def _tokens(text):  # _scan's tokens, the next one last, over an end (None, None) no rule accepts
+    return [(None, None)] + _scan(text)[::-1]
 
 
 def parse_poly(genus, text):

@@ -1,4 +1,6 @@
 import random
+import re
+import sys
 import time
 import tracemalloc
 
@@ -146,20 +148,109 @@ def test_str_parse_round_trip_of_large_sums():
 def test_parse_time_grows_with_the_sum():
     """A sum is read in one pass: 4 times the terms take well under 6 times
     as long (the least of 3 runs each, in the process's CPU time, so that
-    another process on the same cores does not count)."""
+    another process on the same cores does not count, and the two texts in
+    turn, so that a slow spell of the host does not fall on one side only)."""
     rng = random.Random(0)
     texts = [" + ".join(f"{rng.randint(1, 9)} u^{rng.randint(-3, 3)} a^{rng.randint(-40, 40)} "
                         f"b^{rng.randint(-40, 40)}" for _ in range(n)) for n in (2000, 8000)]
-
-    def least_time(text):
-        times = []
-        for _ in range(3):
+    times = [[], []]
+    for _ in range(3):
+        for text, runs in zip(texts, times):
             t0 = time.process_time()
             parse_poly(1, text)
-            times.append(time.process_time() - t0)
-        return min(times)
-    short, long = map(least_time, texts)
+            runs.append(time.process_time() - t0)
+    short, long = map(min, times)
     assert long < 6 * short
+
+
+def whole_text_word(text):
+    """heis.parse_word's scan as a letter loop over the whole text, no pieces."""
+    word, pos = [], 0
+    for m in heis.LETTER.finditer(text):
+        if text[pos:m.start()].strip():
+            raise ValueError(f"bad element syntax near {text[pos:m.start()]!r}")
+        word.append((m[1], int(m[2]) if m[2] else 1))
+        pos = m.end()
+    if text[pos:].strip():
+        raise ValueError(f"bad element syntax near {text[pos:]!r}")
+    return word
+
+
+def whole_text_tokens(text):
+    """ring._tokens as a token loop over the whole text, no pieces."""
+    tokens, pos = [], 0
+    for m in ring._EXPR_TOKEN.finditer(text):
+        if m.start() != pos:
+            break
+        kind = m.lastgroup
+        tokens.append((kind, m[kind] if kind == "sym" else int(m[kind])) if kind else (m[4], None))
+        pos = m.end()
+    if text[pos:].strip():
+        raise ValueError(f"bad expression near {text[pos:]!r}")
+    return [(None, None)] + tokens[::-1]
+
+
+def outcome(read, text):
+    try:
+        return read(text)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+READER_SPACES = "\t\n\x1c\xa0 \u2003\u3000"
+READER_CHARS = "uabs0123456789\u0663^-+(),!" + READER_SPACES
+# fragments that make well-formed words and expressions likely
+READER_PIECES = ["u", "a", "b", "s", "a1", "b2", "s3", "a01", "u^2", "a1^-3", "^", "^-", "7",
+                 "12", "\u0663", "-", "+", "(", ")", ",", "!"] + list(READER_SPACES)
+reader_texts = st.one_of(st.text(READER_CHARS, max_size=40),
+                         st.lists(st.sampled_from(READER_PIECES), max_size=30).map("".join))
+
+
+@given(reader_texts)
+@settings(max_examples=400, derandomize=True, database=None)
+@example("a1 ! b1")
+@example("a1 + 2 u^ 3")
+@example("s1 x2 b1")
+@example("s1  a1b1 ,")
+@example("a1b1" * 20)
+def test_readers_match_whole_text_scans(text):
+    """Read piece by piece through the memo, each reader returns the tokens,
+    or raises the message, of one scan of the whole text, on the first read
+    and on a read from the memo."""
+    for read, whole in ((heis.parse_word, whole_text_word), (ring._tokens, whole_text_tokens)):
+        expected = outcome(whole, text)
+        assert outcome(read, text) == expected
+        assert outcome(read, text) == expected
+    assert outcome(heis.parse_word.__wrapped__, text) == outcome(whole_text_word, text)
+
+
+def test_reader_whitespace_is_regex_whitespace():
+    """str.split() cuts at the code points that \\s matches, and at no other."""
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    spaces = [m.start() for m in re.finditer(r"\s", every)]
+    assert spaces == [i for i, c in enumerate(every) if c.isspace()]
+    assert "".join(every.split()) == every.translate(dict.fromkeys(spaces))
+
+
+def test_reader_results_are_fresh_lists():
+    for read, text in ((heis.parse_word, "a1^2 b1 u"), (ring._tokens, "2 a1^2 - (b1 + u)")):
+        first = read(text)
+        expected = list(first)
+        first.append(("x", 0))
+        first[0] = ("y", 0)
+        assert read(text) == expected
+
+
+def test_reader_memo_is_bounded():
+    """The memo keeps at most 4096 pieces, and no piece past 64 characters."""
+    pairs = ([("a1", 1), ("b1", 1)], [("sym", "a1"), ("sym", "b1")])
+    for read, letter, pair in zip((heis.parse_word, ring._scan), ("a1^{}", "u^{}"), pairs):
+        read.memo.cache_clear()
+        assert len(read(" ".join(letter.format(i) for i in range(10_000)))) >= 10_000
+        assert read.memo.cache_info().currsize == 4096
+        read.memo.cache_clear()
+        assert read("a1b1" * 10_000) == pair * 10_000
+        assert read.memo.cache_info().currsize == 0
 
 
 @given(small_poly)

@@ -408,7 +408,7 @@ def test_depends_on_word_form_reduction():
         l = int(rng.integers(-6, 7))
         m = int(rng.integers(-6, 7))
         h = HeisElement(1, k, (l, m))
-        kappa, _ = h.word_exponents()
+        kappa = h.k - heis.quadratic(h.coords)
         lr, mr = l % N, m % N
         reduced = HeisElement(1, kappa % (2 * N) + lr * mr, (lr, mr))
         assert np.abs(sch.schrodinger_matrix(N, 1, h)
