@@ -4,9 +4,8 @@ A polynomial is stored as its coordinate fibres {coords: {k: nonzero int}}.
 One kernel multiplies in the group ring, in its quotients (_fibre_mul) and
 in matrix products (fibre_mat_mul), with each term (k, x) an integer key:
 
-- packing: but in term mode (width 0, see _operands), a fibre is cut where
-  it skips more than _GAP slots (below _MIN_RUN terms, into its terms), and
-  the terms c u^k of each piece from lo become one integer, the sum of
+- packing: but in term mode (width 0, see _operands), the terms c u^k of
+  each fibre from its least exponent lo become one integer, the sum of
   c 2^(8 width (k - lo)) (Kronecker substitution), with L1(left) L1(right)
   < 2^(8 width - 1) bounding every slot of every sum;
 - keys: the coordinates in fixed biased slots below top, and k 2^top in
@@ -16,8 +15,8 @@ in matrix products (fibre_mat_mul), with each term (k, x) an integer key:
   coordinates, each packed into one integer from _PACKED_OMEGA runs on;
 - output: in term mode summed under the keys and grouped by coordinates;
   packed, one integer per output fibre from one base exponent, at most
-  _SLOTS_PER_PAIR slots per term pair, to which each pair of runs adds its
-  product shifted to its exponent; trimmed, and all decoded at once.
+  _SLOTS_PER_PAIR slots per term pair, to which each pair of fibres adds
+  its product shifted to its exponent; trimmed, and all decoded at once.
 
 A single-term operand translates the other's fibres instead.  The module
 also provides the three specialization homomorphisms (to Z[u]/(u^2-1), to
@@ -83,10 +82,8 @@ def _sum_fibres(summands):
 # hosts only; other widths and hosts go slot by slot).
 _FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
 
-# A packed run never skips more than this many empty slots in a row.
-_GAP = 8
-
-# Fibres of fewer terms are not packed.
+# A product with no fibre of this many terms runs in term mode: aligned, the
+# 78 such products of a ring_scatter pass (seed 1) took 1.85x as long.
 _MIN_RUN = 4
 
 
@@ -118,15 +115,6 @@ def _pack_run(terms, lo, n, width):
     return (int.from_bytes(data, "little") ^ bias) - bias
 
 
-def _cut(f, width):
-    """Runs {lo: the sum of c 2^(8 width (k - lo))} of a fibre {k: c}, cut
-    where it skips more than _GAP slots (a run of one term is c)."""
-    terms = sorted(f.items())
-    cuts = [i for i in range(1, len(terms)) if terms[i][0] - terms[i - 1][0] > _GAP]
-    return {p[0][0]: _pack_run(p, p[0][0], p[-1][0] - p[0][0] + 1, width) if p[1:] else p[0][1]
-            for p in (terms[i:j] for i, j in zip([0] + cuts, cuts + [len(terms)]))}
-
-
 def _key_layout(n, coords, tags=0):
     """(width, shifts, bias, top) of the keys k 2^top + bias + the sum of
     x_j 2^shifts[j], with n slots of width bytes that hold every x + y over
@@ -138,43 +126,53 @@ def _key_layout(n, coords, tags=0):
 
 
 # Most slots per term pair that aligned accumulators may take, S times the
-# pairs of pieces (see _operands; pairs of fibres would miss fibres cut into
-# many pieces): over seeds 1, 101, 701, 911 and 2001, the 17 packing products
-# of mcg_words read 1.7 to 60.9 (median 21.3), those of ring_scatter up to
-# 48.2, and one dense fibre among 200 scattered genus-2 terms, squared, 135.
+# pairs of fibres (see _operands): over seeds 1, 101, 701, 911 and 2001, the
+# 19 packing products of mcg_words read 1.2 to 32.8 (median 12.1), those of
+# ring_scatter up to 28.7; two more of mcg_words seed 2001 read 122 and 126,
+# and one dense fibre among 200 scattered genus-2 terms, squared, 133.
 _SLOTS_PER_PAIR = 64
+
+# Most slots per term that the packed fibres of either side may take (see
+# _operands): one fibre of 10 to 1,000 terms d slots apart, squared, ran aligned
+# in 0.27-1.34 of its term-mode time at d = 16 and 0.72-2.05 at d = 32.
+_SLOTS_PER_TERM = 16
 
 
 def _operands(products, n, modulus=0):
     """(width, base, pairs) for the sum of products, pairs of left and right
     [(tag, fibres)], each side of pairs flat as [(x, runs, tag)] (see
-    _mul_into).  Aligned, runs are a fibre of _MIN_RUN terms cut (see _cut)
-    or a shorter one, in slots that hold the sum of L1(left) L1(right), each
-    the largest of its side, from base lo(left) + lo(right) - n cmax(left)
-    cmax(right) (that bound of |omega| left out mod N).  Term mode (0, None,
-    runs the fibres) with no fibre of _MIN_RUN terms, or if S = span(left) +
-    span(right) + (2 |omega| + 1, or N) slots per pair of runs exceed
-    _SLOTS_PER_PAIR per term pair, summed over products."""
-    def pairs(operands):
-        return sum(a * b for a, b in ([sum(len(r) for _, r, _ in side) for side in pair]
-                                      for pair in operands))
+    _mul_into), the mode picked before anything is packed: term mode (0,
+    None, runs the fibres) with no fibre of _MIN_RUN terms, or if S =
+    span(left) + span(right) + (2 |omega| + 1, or N) slots per fibre pair
+    exceed _SLOTS_PER_PAIR per term pair, summed over products, or if the
+    spans of a side's fibres sum past _SLOTS_PER_TERM per term; else one run
+    per fibre, in slots that hold L1(left) L1(right) (each side's largest),
+    from base lo(left) + lo(right) - n cmax(left) cmax(right) (none mod N)."""
     terms = [tuple([(x, f, tag) for tag, fibres in side for x, f in fibres.items()]
                    for side in pair) for pair in products]
     if max((len(f) for pair in terms for side in pair for _, f, _ in side), default=0) < _MIN_RUN:
         return 0, None, terms
-    width = _slot_width(sum(a * b for a, b in (
-        [max(_l1_norm(fibres) for _, fibres in side) for side in pair] for pair in products)))
-    runs = [tuple([(x, _cut(f, width) if len(f) >= _MIN_RUN else f, tag) for x, f, tag in side]
-                  for side in pair) for pair in terms]
     sides = [[e for pair in terms for e in pair[i]] for i in (0, 1)]
-    lo, hi = ([g(map(g, (f for _, f, _ in side))) for side in sides] for g in (min, max))
+    ends = [[(min(f), max(f)) for _, f, _ in side] for side in sides]
+    lo, hi = ([g(e[j] for e in side) for side in ends] for j, g in ((0, min), (1, max)))
     cmax = [max(map(abs, itertools.chain.from_iterable(x for x, _, _ in side)), default=0)
             for side in sides]
     bound = 0 if modulus else n * cmax[0] * cmax[1]
     slots = hi[0] - lo[0] + hi[1] - lo[1] + (modulus or 2 * bound + 1)
-    if slots * pairs(runs) > _SLOTS_PER_PAIR * pairs(terms):
+    term_pairs = sum(a * b for a, b in ([sum(len(f) for _, f, _ in side) for side in pair]
+                                        for pair in terms))
+    if (slots * sum(len(left) * len(right) for left, right in terms) > _SLOTS_PER_PAIR * term_pairs
+            or any(sum(b - a + 1 for a, b in e) > _SLOTS_PER_TERM * sum(len(f) for _, f, _ in side)
+                   for e, side in zip(ends, sides))):
         return 0, None, terms
-    return width, lo[0] + lo[1] - bound, runs
+    width = _slot_width(sum(a * b for a, b in (
+        [max(_l1_norm(fibres) for _, fibres in side) for side in pair] for pair in products)))
+
+    def run(f):
+        k = min(f)
+        return {k: _pack_run(f.items(), k, max(f) - k + 1, width)}
+    return width, lo[0] + lo[1] - bound, [tuple([(x, run(f), tag) for x, f, tag in side]
+                                                for side in pair) for pair in terms]
 
 
 # A flattened operand of at least this many runs takes omega from packed
@@ -187,13 +185,14 @@ def _mul_into(acc, left, right, layout, modulus=0, width=0, base=0):
     (k, x)(l, y) = (k + l + omega(x, y), x + y), tags included, omega
     reduced into [0, N) mod a modulus N and left out mod 1.  At width 0 acc
     is {key(x, k) + key(y, l) + omega 2^top: c}, else {key(x + y): sum from
-    exponent base}, to which runs from k and l add their product shifted by
-    8 width (k + l + omega - base) bits.  The operand of more fibres is
-    flattened into columns, one entry per run: keys, exponents, coefficients
-    and the n coordinates of dual(y), omega(x, y) being x[::2] + x[1::2]
-    dotted with dual(y) (negated for a flat left); per fibre x of the other,
-    omega against every run sums the columns scaled by the nonzero x_j, from
-    _PACKED_OMEGA runs on packed (see _pack_run) and read by one _slots call."""
+    exponent base}, to which runs (one per fibre) from k and l add their
+    product shifted by 8 width (k + l + omega - base) bits.  The operand of
+    more fibres is flattened into columns, one entry per run: keys,
+    exponents, coefficients and the n coordinates of dual(y), omega(x, y)
+    being x[::2] + x[1::2] dotted with dual(y) (negated for a flat left); per
+    fibre x of the other, omega against every run sums the columns scaled by
+    the nonzero x_j, from _PACKED_OMEGA runs on packed (see _pack_run) and
+    read by one _slots call."""
     _, shifts, bias, top = layout
     kshift = 0 if width else top  # an exponent counts slots, or sits at the top of a key
     bits = 8 * width
@@ -505,7 +504,7 @@ class HeisPolynomial:
 MAX_POWER = 16
 # Most term pairs one parsed product may multiply (a juxtaposition, a mul
 # operand, a step of (expr)^n); the slowest admitted step, 6528 x 30
-# scattered terms at genus 16, takes about 1.3 s (2-core Xeon VM).
+# scattered terms at genus 16, takes about 0.7-1.1 s (2-core Xeon VM).
 MAX_POWER_STEP = 200_000
 
 

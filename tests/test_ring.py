@@ -476,6 +476,23 @@ ALIGNED_OPERANDS = [("(1 + u + u^2 + u^3) a + u^2 (1 + u + u^2 + u^3) b",
                      "1 + u + u^2 + u^3 + u^197 a")]
 
 
+def _spaced(step, coeffs):
+    """Text of the sum of c u^(step i) over the coefficients c, i from 0."""
+    return " + ".join(f"({c}) u^{step * i}" for i, c in enumerate(coeffs))
+
+
+# Genus-1 operands of the aligned accumulators whose fibres skip empty slots:
+# four terms 7, 8, 9, 10 and 60 slots apart, and a 2-term and a 3-term fibre
+# 1,000 slots apart beside a dense 200-term fibre, which keeps each side within
+# _SLOTS_PER_TERM slots per term.  Each fibre is one packed run.
+SPARSE_OPERANDS = [(f"({_spaced(7, (1, 2, -1, 3))}) a + ({_spaced(8, (1, -1, 1, 2))}) b",
+                    f"{_spaced(9, (2, -1, 1, -1))} + ({_spaced(10, (1, 1, -3, 1))}) a b",
+                    f"({_spaced(60, (1, 1, -1, 2))}) b - u^60 a + {_spaced(1, range(1, 11))}"),
+                   (f"(1 - u^1000) a + (1 + u^1000 - u^2000) b + {_spaced(1, range(1, 201))}",
+                    f"{_spaced(1, [(-1) ** i * (i % 4 + 1) for i in range(200)])} - (2 + u^1000) b",
+                    f"(u^3 + u^1003 - 2 u^2003) a b - {_spaced(1, range(200, 0, -1))}")]
+
+
 def omega_examples(to_args, rows=OMEGA_OPERANDS):
     """hypothesis examples at moduli 3, 5 and 7 of every row of operand
     texts: to_args(N, polys) gives the test's arguments."""
@@ -554,11 +571,13 @@ def test_specialized_ops_with_other_types_are_type_errors():
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @omega_examples(lambda N, polys: ((1, polys), ("torsion", N)))
 @omega_examples(lambda N, polys: ((1, polys), ("torsion", N)), ALIGNED_OPERANDS)
+@omega_examples(lambda N, polys: ((1, polys), ("torsion", N)), SPARSE_OPERANDS)
 def test_packed_kernel_matches_loop_reference(case, quot):
     """The packed kernel against the term-pair loop, with the modulus of
     the full ring and of each quotient, on both omega paths, also where
     the aligned accumulators are trimmed at both ends, hold only negative
-    exponents, wrap past the modulus or just fit the guard."""
+    exponents, wrap past the modulus, just fit the guard or are packed from
+    fibres that skip many slots."""
     genus, (p, q, r) = case
     for modulus in (0, ring.quotient(*quot).modulus):
         for x, y in ((p, q), (q, p), (p, r), (p, p), (p, -p)):
@@ -734,10 +753,13 @@ def test_place_examples(example, quot):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @example((1, [parse_poly(1, t).fibres for row in ALIGNED_OPERANDS[:2] + OMEGA_OPERANDS[2:]
               for t in row]))
+@example((1, [parse_poly(1, t).fibres for row in SPARSE_OPERANDS * 2
+              for t in row]))
 def test_mat_mul_key_slots_match_dense(case):
     """A 2x3 times 3x2 product, row and column tags included, against the
-    product of every pair of entries by the loop reference; in the example,
-    every entry sum is one aligned accumulator."""
+    product of every pair of entries by the loop reference; in the examples,
+    every entry sum is one aligned accumulator, in the second packed from
+    fibres that skip many slots."""
     genus, fibres = case
     polys = [HeisPolynomial._of(genus, f) for f in fibres]
     ident = aut.identity_aut(genus)
@@ -800,9 +822,9 @@ SPLIT_MODULI = [0, 3, 7, 40, 64]
 
 @pytest.mark.parametrize("modulus", SPLIT_MODULI)
 def test_split_runs_under_modulus(modulus):
-    """Packed products whose operand fibres are cut into runs more than _GAP
-    slots apart.  Each output fibre is one aligned accumulator, and the
-    constant fibre keeps a gap of more than _GAP empty slots between its
+    """Packed products whose operand fibres skip more than 8 slots, each
+    fibre packed whole.  Each output fibre is one aligned accumulator, and
+    the constant fibre keeps a gap of more than 8 empty slots between its
     terms, but at moduli 3 and 7, where every fibre wraps past the modulus
     many times; at 40 its last terms wrap onto the first."""
     p = parse_poly(1, "1 + 2 u + u^2 - u^3 + 3 u^20 - u^21 + u^22 + u^23"
@@ -813,7 +835,7 @@ def test_split_runs_under_modulus(modulus):
         out = ring._fibre_mul(x.fibres, y.fibres, modulus)
         assert out == loop_fibre_mul(x.fibres, y.fibres, modulus)
         ks = sorted(out[(0, 0)])
-        assert modulus in (3, 7) or max(b - a for a, b in zip(ks, ks[1:])) > ring._GAP
+        assert modulus in (3, 7) or max(b - a for a, b in zip(ks, ks[1:])) > 8
 
 
 def test_slot_by_slot_fallback(monkeypatch):
@@ -830,7 +852,7 @@ def test_slot_by_slot_fallback(monkeypatch):
 
 def test_sparse_accumulators_run_in_term_mode():
     """A 200-term scattered genus-2 polynomial with one dense fibre would
-    take aligned accumulators of 135 slots per term pair, past the guard:
+    take aligned accumulators of 133 slots per term pair, past the guard:
     its square and the square of the 2 x 2 matrix of it run in term mode,
     equal to the loop references, and the square stays within twice the
     tracemalloc peak of the kernel that summed packed runs under their
@@ -860,21 +882,49 @@ def test_sparse_accumulators_run_in_term_mode():
 def test_sparse_exponents_cost_terms():
     """Exponents far apart would leave aligned accumulators sparse, so the
     products run in term mode: the cost follows the terms and not the
-    u-span or the coordinates.  So does one fibre of 200 terms _GAP + 1
-    slots apart, squared: one fibre pair, but 40,000 pairs of pieces, each
-    of which would add into 3,583 slots."""
+    u-span or the coordinates.  One fibre of 200 terms 9 slots apart,
+    squared, is one fibre pair of 3,583 slots against 40,000 term pairs,
+    so it runs aligned, as one packed run a side.  One of 400 terms 10,000
+    slots apart would pass that count too (7,980,001 slots against 160,000
+    term pairs), but packed whole each side would take 10,000 slots per
+    term, so its square runs in term mode."""
     p = parse_poly(1, "u^100000 + 1 + u + u^2 + u^3 + u^4 - u^-100000 a")
     q = parse_poly(1, "u^1000000000000000 + a^1000000 b^1000000 + 1 - u - u^2 + u^3")
     t0 = time.perf_counter()
-    spaced = {(0, 0): {(ring._GAP + 1) * i: 1 + i % 3 for i in range(200)}}
-    assert ring._operands([([(0, spaced)], [(0, spaced)])], 2)[:2] == (0, None)
+    spaced = {(0, 0): {9 * i: 1 + i % 3 for i in range(200)}}
+    width, _, ((left, right),) = ring._operands([([(0, spaced)], [(0, spaced)])], 2)
+    assert width and [runs for _, runs, _ in left + right] == [{0: ring._pack_run(
+        spaced[(0, 0)].items(), 0, 1792, width)}] * 2
     assert ring._fibre_mul(spaced, spaced) == loop_fibre_mul(spaced, spaced)
+    far = {(0, 0): {10000 * i: 1 + i % 3 for i in range(400)}}
+    assert ring._operands([([(0, far)], [(0, far)])], 2)[:2] == (0, None)
+    assert ring._fibre_mul(far, far) == loop_fibre_mul(far, far)
     for x, y in ((p, p), (p, q), (q, q), (q, p)):
         assert ring._operands([([(0, x.fibres)], [(0, y.fibres)])], 2)[:2] == (0, None)
         assert (x * y).terms == reference_mul(x, y)
     M = rm.RepMatrix(1, ((p, q), (q, p)), aut.identity_aut(1))
     assert rm.mat_mul(M, M) == dense_mat_mul(M, M)
     assert time.perf_counter() - t0 < 2.0
+
+
+def test_guard_runs_before_packing():
+    """The mode is chosen before any fibre is packed: a fibre of 5 terms
+    reaching u^50000000, times 1 + u + u^2 + u^3, would take an accumulator
+    of 50,000,004 slots for 20 term pairs, so the product runs in term
+    mode, and its traced peak stays under 1 MiB (3,307 bytes for the
+    kernel that cut fibres at gaps, Python 3.11), not the 210 MB that
+    packing every fibre whole before the guard takes."""
+    p = parse_poly(1, "1 + u + u^2 + u^3 + u^50000000")
+    q = parse_poly(1, "1 + u + u^2 + u^3")
+    assert ring._operands([([(0, p.fibres)], [(0, q.fibres)])], 2) == (
+        0, None, [tuple([((0, 0), f.fibres[(0, 0)], 0)] for f in (p, q))])
+    tracemalloc.start()
+    try:
+        product = p * q
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert product.fibres == loop_fibre_mul(p.fibres, q.fibres)
 
 
 @given(genus_and_polys, st.randoms(use_true_random=False))
