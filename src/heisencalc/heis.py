@@ -215,17 +215,9 @@ def generators(genus):
 
 
 def generator(genus, name, power=1):
-    """Generator by name: 'u', 'a<i>' or 'b<i>'.  'a'/'b' mean index 1."""
-    if name == "u":
-        return u(genus, power)
-    if name[:1] not in ("a", "b") or not NAME.fullmatch(name):
-        raise ValueError(f"unknown generator {name!r}")
-    i = int(name[1:] or 1)
-    if not 1 <= i <= genus:
-        raise ValueError(f"index {i} out of range for genus {genus}")
-    coords = [0] * (2 * genus)
-    coords[2 * i - 2 + (name[0] == "b")] = power
-    return HeisElement(genus, 0, tuple(coords))
+    """Generator by name: 'u', 'a<i>' or 'b<i>' ('a'/'b' mean index 1), to a power;
+    from_word of one letter."""
+    return from_word(genus, [(name, power)])
 
 
 @functools.cache
@@ -244,11 +236,16 @@ def from_word(genus, word):
         raise ValueError("genus must be >= 1")
     slots, k, x = letter_slots(genus), 0, [0] * (2 * genus + 1)  # x[0]: the power of u
     for name, e in word:
-        # a miss raises generator's message: slots holds every name it reads
-        slot, partner, sign = slots.get(name) or generator(genus, name)
+        slot, partner, sign = slots.get(name) or _unknown(genus, name)
         k += sign * e * x[partner]
         x[slot] += e
     return HeisElement(genus, k + x[0], tuple(x[1:]))
+
+
+def _unknown(genus, name):  # the miss of from_word: a name letter_slots(genus) lacks
+    if m := re.fullmatch(f"[ab]({INDEX})", name):
+        raise ValueError(f"index {m[1]} out of range for genus {genus}")
+    raise ValueError(f"unknown generator {name!r}")
 
 
 def reader(scan):
@@ -272,8 +269,6 @@ def reader(scan):
 def parse_word(text):
     """Split 'u^2 a1^-2 b1' into [(letter name, exponent)]; names are not checked
     beyond the grammar, and juxtaposed letters ('a1b1') are two letters."""
-    if m := LETTER.fullmatch(text):  # one letter, as most pieces are: one match
-        return [(m[1], int(m[2]) if m[2] else 1)]
     word = []
     pos = 0
     for m in LETTER.finditer(text):

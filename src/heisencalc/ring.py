@@ -366,16 +366,20 @@ def fibre_mat_mul(a_columns, b_rows, rows):
     return out
 
 
-def format_sum(pairs):
-    """Render (word, nonzero coeff) pairs, in the given order, as a signed
-    sum such as '-2 u a1 + 3 - b1^-1'; '0' when there are none."""
-    parts = []
-    for word, coeff in pairs:
-        size = abs(coeff)
-        body = str(size) if word == "1" else word if size == 1 else f"{size} {word}"
-        parts.append(("- " if coeff < 0 else "+ ") + body)
-    if not parts:
+def _render(fibres, latex=False, modulus=0):
+    """The one renderer of sums, such as '-2 u a1 + 3 - b1^-1', or '0': in the
+    order of _sorted_terms, each term's u^(k - quadratic(x)), reduced mod a
+    nonzero modulus, before its fibre's letters, which are built once per fibre."""
+    if not fibres:  # most entries of a large twist matrix
         return "0"
+    words = {x: (heis.quadratic(x), heis.letters(x, latex)) for x in fibres}
+    parts = []
+    for k, x, c in _sorted_terms(fibres):
+        q, text = words[x]
+        word = heis.word((k - q) % modulus if modulus else k - q, text, latex)
+        size = abs(c)
+        body = str(size) if word == "1" else word if size == 1 else f"{size} {word}"
+        parts.append(("- " if c < 0 else "+ ") + body)
     text = " ".join(parts)
     # the leading sign: "+ " is dropped and "- " becomes "-"
     return text[2:] if text[0] == "+" else "-" + text[2:]
@@ -472,13 +476,8 @@ class HeisPolynomial:
         return not self.fibres
 
     def render(self, latex=False):
-        """The terms as a sum in word form, in the order of _sorted_terms: each
-        term adds its u-power to its fibre's letters, built once per fibre."""
-        if not self.fibres:  # most entries of a large twist matrix
-            return "0"
-        words = {x: (heis.quadratic(x), heis.letters(x, latex)) for x in self.fibres}
-        return format_sum((heis.word(k - words[x][0], words[x][1], latex), c)
-                          for k, x, c in _sorted_terms(self.fibres))
+        """The terms as a sum in word form (see _render)."""
+        return _render(self.fibres, latex)
 
     __str__ = render
 
@@ -523,8 +522,6 @@ _EXPR_TOKEN = re.compile(rf"\s*(?:(?P<int>{heis.DIGITS})|(?P<sym>{heis.NAME.patt
 @heis.reader
 def _scan(text):
     """Tokens of text in order: ('int', n), ('sym', name), ('pow', n) or (c, None), c in '+-()'."""
-    if m := heis.LETTER.fullmatch(text):  # one letter, as most pieces are: one match
-        return [("sym", m[1]), ("pow", int(m[2]))] if m[2] else [("sym", m[1])]
     tokens, pos = [], 0
     for m in _EXPR_TOKEN.finditer(text):
         if m.start() != pos:
@@ -604,15 +601,14 @@ class Quotient(heis.Record):
     (modulo u^N) places (k, x) at (x, k mod N), modulus N; 'moriyama'
     (Z[u]/(u^2-1)) at ((), k - quadratic(x) mod 2), the word-form exponent,
     modulus 2; 'abelian' (u -> 1) at (x, 0), modulus 1.  place(fibres) is
-    the fibres of the placed terms, key(coords, k) the printed and sorted
-    key of a placed term, and lift(genus, key) a group element with that
-    key, which a sum prints.
+    the fibres of the placed terms, and key(coords, k) the sorted key of a
+    placed term.  A sum prints through ring._render under the modulus.
     """
-    __slots__ = ("name", "modulus", "place", "key", "lift")
+    __slots__ = ("name", "modulus", "place", "key")
     _fields = ("name", "modulus")  # so two torsion(N) are interchangeable
 
-    def __init__(self, name, modulus, place, key, lift):
-        self._init(name, modulus, place, key, lift)
+    def __init__(self, name, modulus, place, key):
+        self._init(name, modulus, place, key)
 
 
 def _place_moriyama(fibres):
@@ -631,27 +627,19 @@ def _place_abelian(fibres):
 
 MORIYAMA = Quotient(
     "moriyama", 2, _place_moriyama,
-    lambda x, k: k,
-    lambda genus, key: HeisElement(genus, key, (0,) * (2 * genus)))
+    lambda x, k: k)
 
 ABELIAN = Quotient(
     "abelian", 1, _place_abelian,
-    lambda x, k: x,
-    lambda genus, key: HeisElement(genus, heis.quadratic(key), key))
+    lambda x, k: x)
 
 
 def torsion(N):
     """The quotient by the central subgroup generated by u^N."""
     if N < 1:
         raise ValueError("N must be >= 1")
-
-    def lift(genus, key):
-        # the lift whose word-form u-exponent lies in [0, N)
-        q = heis.quadratic(key[1])
-        return HeisElement(genus, q + (key[0] - q) % N, key[1])
-
     return Quotient(f"torsion{N}", N, lambda fibres: _pruned(fibres, N),
-                    lambda x, k: (k, x), lift)
+                    lambda x, k: (k, x))
 
 
 def quotient(name, order=0):
@@ -706,9 +694,8 @@ class SpecializedPolynomial(heis.Record):
         return not self.fibres
 
     def render(self, latex=False):
-        """The sum of the lifts of the terms in word form, in the order of terms."""
-        lift = self.quotient.lift
-        return format_sum((lift(self.genus, key).word_str(latex), c) for key, c in self.terms)
+        """The sum in word form, each u-exponent reduced mod the modulus (see _render)."""
+        return _render(self.fibres, latex, self.quotient.modulus)
 
     __str__ = render
 

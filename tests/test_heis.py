@@ -40,6 +40,10 @@ def test_commutator_is_central_square():
         comm = a * b * a.inverse() * b.inverse()
         assert comm == heis.u(g, 2)
     assert heis.gen_a(g, 1) * heis.gen_b(g, 2) == heis.gen_b(g, 2) * heis.gen_a(g, 1)
+    # the letter table by name: the aliases a, b of a1, b1, and u to a power
+    assert heis.generator(1, "a") == heis.gen_a(1, 1) == HeisElement(1, 0, (1, 0))
+    assert heis.generator(1, "b", -2) == heis.gen_b(1, 1, -2) == HeisElement(1, 0, (0, -2))
+    assert heis.generator(2, "u", 3) == heis.u(2, 3) == HeisElement(2, 3, (0, 0, 0, 0))
 
 
 @given(elem1, elem1, elem1)
@@ -114,8 +118,14 @@ def test_parse_rejects_garbage():
         heis.parse_element(1, "c^2")
     with pytest.raises(ValueError):
         heis.parse_element(1, "(1; 2)")  # wrong coordinate count
-    with pytest.raises(ValueError):
-        heis.generator(1, "a2")
+    for genus, name, message in [(1, "x", "unknown generator 'x'"),
+                                 (1, "s1", "unknown generator 's1'"),
+                                 (1, "a0", "index 0 out of range for genus 1"),
+                                 (1, "a2", "index 2 out of range for genus 1"),
+                                 (0, "a1", "genus must be >= 1")]:
+        with pytest.raises(ValueError) as exc:
+            heis.generator(genus, name)
+        assert str(exc.value) == message
 
 
 def test_from_word_matches_letter_products():

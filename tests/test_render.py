@@ -98,7 +98,17 @@ def test_render_matches_reference():
                                   for e, c in ordered])
         assert rm.poly_latex(p) == ref_sum([(ref_word(kappa(e), e.coords, True), c)
                                             for e, c in ordered])
+        # every quotient prints u^((k - quadratic(x)) mod N) and x's letters, as text and
+        # as LaTeX: moriyama places u^kappa with no coordinates, abelian is N = 1
         mori = ring.specialize_moriyama(p)
-        assert str(mori) == ref_sum([("u" if key else "1", c) for key, c in mori.terms])
         abel = ring.specialize_abelianize(p)
-        assert str(abel) == ref_sum([(ref_word(0, key), c) for key, c in abel.terms])
+        for latex in (False, True):
+            assert mori.render(latex) == ref_sum([("u" if key else "1", c)
+                                                  for key, c in mori.terms])
+            assert abel.render(latex) == ref_sum([(ref_word(0, key, latex), c)
+                                                  for key, c in abel.terms])
+            for N in range(1, 9):
+                s = ring.specialize_torsion(p, N)
+                assert s.render(latex) == ref_sum([
+                    (ref_word(kappa(HeisElement(genus, k, x)) % N, x, latex), c)
+                    for (k, x), c in s.terms])

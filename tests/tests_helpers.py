@@ -37,12 +37,27 @@ def reference_twist_aut(genus, kind, index=1):
     return aut.HeisAutomorphism(genus, tuple(delta), tuple(tuple(r) for r in S))
 
 
+def reference_generator(genus, name, e):
+    """One letter's element, by index arithmetic on its name, not through
+    heis.letter_slots: 'u', 'a<i>' or 'b<i>', 'a'/'b' meaning index 1."""
+    if name == "u":
+        return heis.u(genus, e)
+    if name[:1] not in ("a", "b") or not heis.NAME.fullmatch(name):
+        raise ValueError(f"unknown generator {name!r}")
+    i = int(name[1:] or 1)
+    if not 1 <= i <= genus:
+        raise ValueError(f"index {i} out of range for genus {genus}")
+    coords = [0] * (2 * genus)
+    coords[2 * i - 2 + (name[0] == "b")] = e
+    return HeisElement(genus, 0, tuple(coords))
+
+
 def reference_from_word(genus, word):
     """A word multiplied out one letter at a time: the product, from the
-    identity, of one generator(genus, name, e) element per letter."""
+    identity, of one reference_generator(genus, name, e) element per letter."""
     result = heis.identity(genus)
     for name, e in word:
-        result = result * heis.generator(genus, name, e)
+        result = result * reference_generator(genus, name, e)
     return result
 
 
